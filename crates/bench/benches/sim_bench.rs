@@ -14,8 +14,9 @@ fn run_virtual_minute(algorithm: ElectorKind, link: LinkSpec) -> u64 {
     let n = 12usize;
     let group = sle_core::GroupId(1);
     let medium = NetworkModel::new(link).build(7);
-    let mut world: World<ServiceNode, _> = World::new(
+    let mut world: ParWorld<ServiceNode, _> = ParWorld::new(
         n,
+        1,
         Box::new(move |node, _| {
             ServiceNode::new(
                 ServiceConfig::full_mesh(node, n, algorithm)
@@ -25,9 +26,9 @@ fn run_virtual_minute(algorithm: ElectorKind, link: LinkSpec) -> u64 {
         medium,
         11,
     );
-    let mut observer = CountingObserver::new();
+    let mut observer = [CountingObserver::new()];
     world.run_for(SimDuration::from_secs(60), &mut observer);
-    observer.delivered
+    observer[0].delivered
 }
 
 fn main() {

@@ -1,6 +1,26 @@
 //! The chaos engine: runs a [`FaultPlan`] against a simulated service
 //! deployment and checks the resulting trace against the protocol
 //! invariants.
+//!
+//! [`run_plan`] drives the plan on the sharded [`ParWorld`] simulator and
+//! produces a [`ChaosReport`] whose every field is **independent of the
+//! worker count**: the same `(config, plan)` pair yields identical traces,
+//! violations, network counters, metrics and protocol traces for
+//! `workers` ∈ {1, 2, 8, …}. Determinism rests on three pillars:
+//!
+//! * `ParWorld` executes events in a canonical, partition-independent order
+//!   (see [`sle_sim::par`]), so the per-node event histories match for any
+//!   sharding;
+//! * per-shard trace recorders are merged by a stable sort on
+//!   `(time, node)` — simultaneous events of one node stay in their
+//!   canonical order because one node always lives on exactly one shard;
+//! * the shared protocol-trace ring is drained and re-sequenced the same
+//!   way, so ring sequence numbers do not leak scheduling order.
+//!
+//! Lookahead comes from the link model's minimum delay
+//! ([`LinkSpec::with_min_delay`]): with a zero floor (the paper's
+//! exponential delays) `ParWorld` falls back to sequential canonical-order
+//! execution, still deterministic, just without parallel speedup.
 
 use std::collections::HashMap;
 
@@ -13,10 +33,10 @@ use sle_fd::QosSpec;
 use sle_harness::Scenario;
 use sle_net::link::LinkSpec;
 use sle_net::network::{NetworkModel, NetworkStats, SimulatedNetwork};
-use sle_obs::{Registry, Snapshot, TraceRecord, TraceRing};
+use sle_obs::{Registry, Snapshot, TraceDrain, TraceRecord, TraceRing};
 use sle_sim::actor::{Context, NodeId};
+use sle_sim::par::{ParWorld, SharedActorFactory};
 use sle_sim::time::{SimDuration, SimInstant};
-use sle_sim::world::World;
 
 use crate::invariants::{check_trace, InvariantSpec, Violation};
 use crate::plan::{FaultAction, FaultPlan};
@@ -26,10 +46,15 @@ use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
 pub const CHAOS_GROUP: GroupId = GroupId(1);
 
 /// Capacity of the protocol-event trace ring a chaos run drains into its
-/// report: enough for the full event history of a typical run, while a
-/// pathological run merely loses its oldest events (the drain reports how
-/// many).
-const PROTO_TRACE_CAPACITY: usize = 4096;
+/// report. Sized so a typical run never wraps: as long as fewer events than
+/// this are pushed, every slot is written at most once, drains lose
+/// nothing, and the re-sequenced trace is bit-identical for every worker
+/// count. An overflowing run drops its oldest events nondeterministically
+/// (the drain reports how many).
+const PROTO_TRACE_CAPACITY: usize = 1 << 16;
+
+/// The simulated deployment a chaos run drives.
+type ChaosWorld = ParWorld<ServiceNode, SimulatedNetwork>;
 
 /// Everything a chaos run needs besides the fault plan itself.
 #[derive(Debug, Clone)]
@@ -151,39 +176,43 @@ impl ChaosReport {
     }
 }
 
-/// Runs `plan` under `config` and checks the invariants over the trace.
+/// Runs `plan` under `config` on `workers` sim workers (clamped to the node
+/// count) and checks the invariants over the merged trace.
 ///
-/// Fully deterministic: the same `(config, plan)` pair always produces the
-/// same report.
-pub fn run_plan(config: &ChaosConfig, plan: &FaultPlan) -> ChaosReport {
+/// Fully deterministic, across worker counts too: the same `(config, plan)`
+/// pair always produces the same report, whatever `workers` is.
+pub fn run_plan(config: &ChaosConfig, plan: &FaultPlan, workers: usize) -> ChaosReport {
     let n = config.nodes;
     let algorithm = config.algorithm;
     let qos = config.qos;
     let network = NetworkModel::new(config.link).build(config.seed.wrapping_add(1));
     let registry = Registry::default();
     let ring = TraceRing::new(PROTO_TRACE_CAPACITY);
-    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
-        n,
-        Box::new({
-            let registry = registry.clone();
-            let ring = ring.clone();
-            move |node, _incarnation| {
-                let config = ServiceConfig::full_mesh(node, n, algorithm)
-                    .with_auto_join(CHAOS_GROUP, JoinConfig::candidate().with_qos(qos));
-                let mut service = ServiceNode::new(config);
-                // Instrumented under virtual time: the same QoS histograms
-                // and protocol trace the real-time runtime exports.
-                service.set_instruments(NodeInstruments::new(&registry, ring.clone(), node));
-                service
-            }
-        }),
-        network,
-        config.seed,
-    );
-    let mut recorder = TraceRecorder::new(CHAOS_GROUP).with_proto_mirror(ring.clone());
+    let factory: SharedActorFactory<ServiceNode> = Box::new({
+        let registry = registry.clone();
+        let ring = ring.clone();
+        move |node, _incarnation| {
+            let config = ServiceConfig::full_mesh(node, n, algorithm)
+                .with_auto_join(CHAOS_GROUP, JoinConfig::candidate().with_qos(qos));
+            let mut service = ServiceNode::new(config);
+            // Instrumented under virtual time: the same QoS histograms
+            // and protocol trace the real-time runtime exports.
+            service.set_instruments(NodeInstruments::new(&registry, ring.clone(), node));
+            service
+        }
+    });
+    let mut world = ChaosWorld::new(n, workers.max(1), factory, network, config.seed);
+    let mut recorders: Vec<TraceRecorder> = (0..world.workers())
+        .map(|_| TraceRecorder::new(CHAOS_GROUP).with_proto_mirror(ring.clone()))
+        .collect();
+    // Engine-level marks and API-call emissions get their own recorder,
+    // always appended *after* the shard recorders in the merge, so
+    // same-instant ties between simulated events and injections resolve
+    // identically for every worker count.
+    let mut engine = TraceRecorder::new(CHAOS_GROUP).with_proto_mirror(ring.clone());
     for timed in plan.actions() {
-        world.run_until(timed.at, &mut recorder);
-        apply_action(&mut world, &mut recorder, &timed.action, qos);
+        world.run_until(timed.at, &mut recorders);
+        apply_action(&mut world, &mut engine, &timed.action, qos);
     }
     // Hand-written plans may schedule past the configured fault window; the
     // run is extended so every action still gets its full quiet tail (and
@@ -192,12 +221,15 @@ pub fn run_plan(config: &ChaosConfig, plan: &FaultPlan) -> ChaosReport {
         Some(last) => config.end().max(last + config.settle + config.settle),
         None => config.end(),
     };
-    world.run_until(end, &mut recorder);
+    world.run_until(end, &mut recorders);
 
     let final_leader = agreed_final_leader(&world);
-    let network = world.medium_mut().stats();
+    let mut network = NetworkStats::default();
+    for medium in world.media() {
+        network.merge(&medium.stats());
+    }
     let events_processed = world.events_processed();
-    let trace = recorder.into_events();
+    let trace = merge_traces(recorders, engine);
     let spec = InvariantSpec {
         algorithm,
         nodes: n,
@@ -209,7 +241,7 @@ pub fn run_plan(config: &ChaosConfig, plan: &FaultPlan) -> ChaosReport {
     // The simulation publishes its network counters just before the
     // registry is snapshotted (see `NetworkStats::publish`).
     network.publish(&registry, "sim.net");
-    let proto = ring.drain();
+    let proto = drain_canonical(&ring);
     ChaosReport {
         violations,
         trace,
@@ -222,76 +254,62 @@ pub fn run_plan(config: &ChaosConfig, plan: &FaultPlan) -> ChaosReport {
     }
 }
 
-/// A service-node API call routed through a world's effect-processing path.
-pub(crate) type ServiceCall<'a> =
-    Box<dyn FnOnce(&mut ServiceNode, &mut Context<ServiceMessage, ServiceEvent>) + 'a>;
-
-/// The world operations fault injection needs, implemented by the
-/// sequential [`World`] here and by the sharded
-/// [`ParWorld`](sle_sim::par::ParWorld) in [`crate::par`]. Keeping
-/// [`apply_action`] and the end-of-run helpers generic over this trait is
-/// what guarantees both drivers inject *exactly* the same faults under the
-/// same no-op discipline.
-pub(crate) trait EngineWorld {
-    fn now(&self) -> SimInstant;
-    fn num_nodes(&self) -> usize;
-    fn is_up(&self, node: NodeId) -> bool;
-    fn service(&self, node: NodeId) -> Option<&ServiceNode>;
-    fn schedule_crash(&mut self, node: NodeId, at: SimInstant);
-    fn schedule_recovery(&mut self, node: NodeId, at: SimInstant);
-    fn with_service(&mut self, node: NodeId, recorder: &mut TraceRecorder, f: ServiceCall<'_>);
-    fn partition_matches(&mut self, components: &[Vec<NodeId>]) -> bool;
-    fn set_partition(&mut self, components: &[Vec<NodeId>]);
-    fn is_partitioned(&mut self) -> bool;
-    fn heal_partition(&mut self);
-    fn default_link(&mut self) -> LinkSpec;
-    fn set_default_link(&mut self, spec: LinkSpec);
+/// Merges per-shard recorders (plus the engine's) into one chronological
+/// trace. The sort is stable over the concatenation `shard 0, shard 1, …,
+/// engine`, and a node's events all come from its one home shard, so
+/// same-instant events of one node keep their canonical execution order no
+/// matter how nodes were sharded.
+fn merge_traces(recorders: Vec<TraceRecorder>, engine: TraceRecorder) -> Vec<TraceEvent> {
+    let mut trace: Vec<TraceEvent> = Vec::new();
+    for recorder in recorders {
+        trace.extend(recorder.into_events());
+    }
+    trace.extend(engine.into_events());
+    trace.sort_by_key(|event| (event.at, trace_node_key(&event.kind)));
+    trace
 }
 
-impl EngineWorld for World<ServiceNode, SimulatedNetwork> {
-    fn now(&self) -> SimInstant {
-        World::now(self)
-    }
-    fn num_nodes(&self) -> usize {
-        World::num_nodes(self)
-    }
-    fn is_up(&self, node: NodeId) -> bool {
-        World::is_up(self, node)
-    }
-    fn service(&self, node: NodeId) -> Option<&ServiceNode> {
-        self.actor(node)
-    }
-    fn schedule_crash(&mut self, node: NodeId, at: SimInstant) {
-        World::schedule_crash(self, node, at);
-    }
-    fn schedule_recovery(&mut self, node: NodeId, at: SimInstant) {
-        World::schedule_recovery(self, node, at);
-    }
-    fn with_service(&mut self, node: NodeId, recorder: &mut TraceRecorder, f: ServiceCall<'_>) {
-        self.with_actor(node, recorder, f);
-    }
-    fn partition_matches(&mut self, components: &[Vec<NodeId>]) -> bool {
-        self.medium_mut().partition_matches(components)
-    }
-    fn set_partition(&mut self, components: &[Vec<NodeId>]) {
-        self.medium_mut().set_partition(components);
-    }
-    fn is_partitioned(&mut self) -> bool {
-        self.medium_mut().is_partitioned()
-    }
-    fn heal_partition(&mut self) {
-        self.medium_mut().heal_partition();
-    }
-    fn default_link(&mut self) -> LinkSpec {
-        self.medium_mut().model().default_link()
-    }
-    fn set_default_link(&mut self, spec: LinkSpec) {
-        self.medium_mut().set_default_link(spec);
+/// The node a trace event concerns, as a sort key; network-wide events
+/// (which only the engine recorder emits) sort after per-node ties.
+fn trace_node_key(kind: &TraceEventKind) -> u32 {
+    match kind {
+        TraceEventKind::View { node, .. }
+        | TraceEventKind::Crashed { node }
+        | TraceEventKind::Recovered { node }
+        | TraceEventKind::Left { node }
+        | TraceEventKind::Joined { node } => node.0,
+        TraceEventKind::Partitioned { .. }
+        | TraceEventKind::Healed
+        | TraceEventKind::LinkChanged => u32::MAX,
     }
 }
 
-pub(crate) fn apply_action<W: EngineWorld>(
-    world: &mut W,
+/// Drains the shared protocol ring into canonical order: sorted by
+/// `(time, node, push order)` and re-sequenced from zero. Pushes from one
+/// node always happen on its home shard's thread in canonical execution
+/// order, so the per-`(time, node)` tie-break by original (monotonic per
+/// thread) sequence number is worker-count independent.
+fn drain_canonical(ring: &TraceRing) -> TraceDrain {
+    let mut drain = ring.drain();
+    drain
+        .events
+        .sort_by_key(|record| (record.at, record.node.0, record.seq));
+    for (seq, record) in drain.events.iter_mut().enumerate() {
+        record.seq = seq as u64;
+    }
+    drain
+}
+
+/// The medium every shard clone mirrors: topology queries read the first.
+fn medium(world: &ChaosWorld) -> &SimulatedNetwork {
+    world
+        .media()
+        .next()
+        .expect("a world has at least one shard")
+}
+
+fn apply_action(
+    world: &mut ChaosWorld,
     recorder: &mut TraceRecorder,
     action: &FaultAction,
     qos: QosSpec,
@@ -320,33 +338,19 @@ pub(crate) fn apply_action<W: EngineWorld>(
             // window in which real violations would be excused.
             if is_member(world, *node) {
                 recorder.mark(now, TraceEventKind::Left { node: *node });
-                world.with_service(
-                    *node,
-                    recorder,
-                    Box::new(|actor, ctx| {
-                        for process in actor.local_members_of(CHAOS_GROUP) {
-                            let _ = actor.leave_group(process, CHAOS_GROUP, ctx);
-                        }
-                    }),
-                );
+                world.with_actor(*node, recorder, |actor, ctx| {
+                    for process in actor.local_members_of(CHAOS_GROUP) {
+                        let _ = actor.leave_group(process, CHAOS_GROUP, ctx);
+                    }
+                });
             }
         }
         FaultAction::Join(node) => {
             if node.index() < world.num_nodes() && world.is_up(*node) && !is_member(world, *node) {
                 recorder.mark(now, TraceEventKind::Joined { node: *node });
-                world.with_service(
-                    *node,
-                    recorder,
-                    Box::new(move |actor, ctx| {
-                        let process = actor.register_process();
-                        let _ = actor.join_group(
-                            process,
-                            CHAOS_GROUP,
-                            JoinConfig::candidate().with_qos(qos),
-                            ctx,
-                        );
-                    }),
-                );
+                world.with_actor(*node, recorder, |actor, ctx| {
+                    join_candidate(actor, ctx, qos)
+                });
             }
         }
         FaultAction::SpawnProcess(node) => {
@@ -358,65 +362,71 @@ pub(crate) fn apply_action<W: EngineWorld>(
                 if !is_member(world, *node) {
                     recorder.mark(now, TraceEventKind::Joined { node: *node });
                 }
-                world.with_service(
-                    *node,
-                    recorder,
-                    Box::new(move |actor, ctx| {
-                        let process = actor.register_process();
-                        let _ = actor.join_group(
-                            process,
-                            CHAOS_GROUP,
-                            JoinConfig::candidate().with_qos(qos),
-                            ctx,
-                        );
-                    }),
-                );
+                world.with_actor(*node, recorder, |actor, ctx| {
+                    join_candidate(actor, ctx, qos)
+                });
             }
         }
         FaultAction::Partition(components) => {
             // The same no-op rule as churn: re-applying the partition the
             // network is already in must not mark a disruption.
-            if !world.partition_matches(components) {
+            if !medium(world).partition_matches(components) {
                 recorder.mark(
                     now,
                     TraceEventKind::Partitioned {
                         components: components.clone(),
                     },
                 );
-                world.set_partition(components);
+                world.for_each_medium(|medium| medium.set_partition(components));
             }
         }
         FaultAction::Heal => {
-            if world.is_partitioned() {
+            if medium(world).is_partitioned() {
                 recorder.mark(now, TraceEventKind::Healed);
-                world.heal_partition();
+                world.for_each_medium(SimulatedNetwork::heal_partition);
             }
         }
         FaultAction::SetLink(spec) => {
-            if world.default_link() != *spec {
+            if medium(world).model().default_link() != *spec {
                 recorder.mark(now, TraceEventKind::LinkChanged);
-                world.set_default_link(*spec);
+                world.for_each_medium(|medium| medium.set_default_link(*spec));
             }
         }
     }
 }
 
+/// Registers a fresh process on `actor` and joins it to the chaos group as
+/// a candidate.
+fn join_candidate(
+    actor: &mut ServiceNode,
+    ctx: &mut Context<ServiceMessage, ServiceEvent>,
+    qos: QosSpec,
+) {
+    let process = actor.register_process();
+    let _ = actor.join_group(
+        process,
+        CHAOS_GROUP,
+        JoinConfig::candidate().with_qos(qos),
+        ctx,
+    );
+}
+
 /// Whether `node` is up and currently has processes in the chaos group.
-pub(crate) fn is_member<W: EngineWorld>(world: &W, node: NodeId) -> bool {
+fn is_member(world: &ChaosWorld, node: NodeId) -> bool {
     node.index() < world.num_nodes()
         && world
-            .service(node)
+            .actor(node)
             .map(|actor| !actor.local_members_of(CHAOS_GROUP).is_empty())
             .unwrap_or(false)
 }
 
 /// The node most up instances currently consider the leader's host (ties
 /// broken towards the smallest id, so resolution is deterministic).
-pub(crate) fn majority_leader_node<W: EngineWorld>(world: &W) -> Option<NodeId> {
+fn majority_leader_node(world: &ChaosWorld) -> Option<NodeId> {
     let mut votes: HashMap<NodeId, usize> = HashMap::new();
     for index in 0..world.num_nodes() {
         let node = NodeId(index as u32);
-        if let Some(actor) = world.service(node) {
+        if let Some(actor) = world.actor(node) {
             if let Some(leader) = actor.leader_of(CHAOS_GROUP) {
                 if world.is_up(leader.node) {
                     *votes.entry(leader.node).or_insert(0) += 1;
@@ -431,12 +441,12 @@ pub(crate) fn majority_leader_node<W: EngineWorld>(world: &W) -> Option<NodeId> 
 }
 
 /// The leader all up nodes agree on at the end of a run, if any.
-pub(crate) fn agreed_final_leader<W: EngineWorld>(world: &W) -> Option<ProcessId> {
+fn agreed_final_leader(world: &ChaosWorld) -> Option<ProcessId> {
     let mut agreed: Option<ProcessId> = None;
     let mut seen = false;
     for index in 0..world.num_nodes() {
         let node = NodeId(index as u32);
-        let Some(actor) = world.service(node) else {
+        let Some(actor) = world.actor(node) else {
             continue;
         };
         if actor.local_members_of(CHAOS_GROUP).is_empty() {
@@ -466,7 +476,7 @@ mod tests {
     fn a_quiet_run_upholds_every_invariant_for_every_service() {
         for algorithm in ElectorKind::all() {
             let config = ChaosConfig::new(algorithm, 4).with_duration(SimDuration::from_secs(20));
-            let report = run_plan(&config, &FaultPlan::quiet());
+            let report = run_plan(&config, &FaultPlan::quiet(), 1);
             assert!(report.ok(), "{algorithm}: {:?}", report.violations);
             assert!(report.final_leader.is_some(), "{algorithm}: no leader");
             assert!(report.events_processed > 0);
@@ -477,8 +487,8 @@ mod tests {
     fn runs_are_deterministic() {
         let config = ChaosConfig::new(ElectorKind::OmegaLc, 4);
         let plan = PlanKind::LeaderChurn.generate(4, config.duration, config.link, config.seed);
-        let a = run_plan(&config, &plan);
-        let b = run_plan(&config, &plan);
+        let a = run_plan(&config, &plan, 1);
+        let b = run_plan(&config, &plan, 1);
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.violations, b.violations);
@@ -502,7 +512,7 @@ mod tests {
                 down_for: SimDuration::from_secs(5),
             },
         );
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&config, &plan, 1);
         assert!(report.ok(), "{:?}", report.violations);
         assert_eq!(report.proto_dropped, 0, "trace ring overflowed");
         let converted = crate::convert::convert_trace(&report.proto_trace, CHAOS_GROUP);
@@ -546,7 +556,7 @@ mod tests {
                 down_for: SimDuration::from_secs(5),
             },
         );
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&config, &plan, 1);
         assert!(report.ok(), "{:?}", report.violations);
         let crashes: Vec<&TraceEvent> = report
             .trace
@@ -575,7 +585,7 @@ mod tests {
             // Node 1 leaves entirely, then a spawn re-joins it (one mark).
             .at(10.0, FaultAction::Leave(NodeId(1)))
             .at(13.0, FaultAction::SpawnProcess(NodeId(1)));
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&config, &plan, 1);
         assert!(report.ok(), "{:?}", report.violations);
         let joins = report
             .trace
@@ -605,7 +615,7 @@ mod tests {
                 down_for: SimDuration::from_secs(4),
             },
         );
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&config, &plan, 1);
         assert!(report.ok(), "{:?}", report.violations);
         assert!(
             report
@@ -630,7 +640,7 @@ mod tests {
             .at(11.0, FaultAction::Heal)
             .at(12.0, FaultAction::Join(NodeId(0)))
             .at(13.0, FaultAction::Leave(NodeId(99)));
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&config, &plan, 1);
         assert!(report.ok(), "{:?}", report.violations);
         assert!(
             !report.trace.iter().any(|event| matches!(
@@ -659,5 +669,100 @@ mod tests {
         assert_eq!(config.link, LinkSpec::from_paper_tuple(100.0, 0.1));
         assert_eq!(config.seed, 9);
         assert_eq!(config.qos, scenario.qos);
+    }
+
+    /// A chaos link with a 1 ms delivery floor: positive lookahead, so the
+    /// epoch (truly parallel) driver engages.
+    fn floored_link() -> LinkSpec {
+        LinkSpec::from_paper_tuple(10.0, 0.01).with_min_delay(SimDuration::from_millis(1))
+    }
+
+    fn assert_reports_equal(a: &ChaosReport, b: &ChaosReport, what: &str) {
+        assert_eq!(
+            a.events_processed, b.events_processed,
+            "{what}: event counts"
+        );
+        assert_eq!(a.trace, b.trace, "{what}: traces");
+        assert_eq!(a.violations, b.violations, "{what}: verdicts");
+        assert_eq!(a.network, b.network, "{what}: network counters");
+        assert_eq!(a.final_leader, b.final_leader, "{what}: final leader");
+        assert_eq!(a.metrics, b.metrics, "{what}: metrics snapshots");
+        assert_eq!(a.proto_trace, b.proto_trace, "{what}: protocol traces");
+        assert_eq!(a.proto_dropped, b.proto_dropped, "{what}: proto drops");
+    }
+
+    #[test]
+    fn worker_counts_produce_identical_reports_under_churn() {
+        let config = ChaosConfig::new(ElectorKind::OmegaLc, 8)
+            .with_link(floored_link())
+            .with_duration(SimDuration::from_secs(12));
+        let plan = PlanKind::LeaderChurn.generate(8, config.duration, config.link, config.seed);
+        let base = run_plan(&config, &plan, 1);
+        assert_eq!(base.proto_dropped, 0, "ring overflowed; grow the capacity");
+        assert!(base.events_processed > 0);
+        // Identical agreed-leader histories: the View events are part of
+        // the trace compared below, and the final agreement matches too.
+        for workers in [2, 8] {
+            let run = run_plan(&config, &plan, workers);
+            assert_reports_equal(&base, &run, &format!("workers=1 vs {workers}"));
+        }
+    }
+
+    #[test]
+    fn zero_lookahead_falls_back_and_matches_single_worker() {
+        // The paper's exponential link has no delivery floor: lookahead is
+        // zero and the parallel driver degrades to sequential canonical
+        // order — the reports must still match across worker counts.
+        let config =
+            ChaosConfig::new(ElectorKind::OmegaL, 4).with_duration(SimDuration::from_secs(12));
+        let plan = FaultPlan::new("crash-one").at(
+            6.0,
+            FaultAction::CrashLeader {
+                down_for: SimDuration::from_secs(3),
+            },
+        );
+        let a = run_plan(&config, &plan, 1);
+        let b = run_plan(&config, &plan, 4);
+        assert_reports_equal(&a, &b, "zero-lookahead workers=1 vs 4");
+        assert!(a.ok(), "{:?}", a.violations);
+    }
+
+    #[test]
+    fn a_quiet_parallel_run_upholds_every_invariant_for_every_service() {
+        for algorithm in ElectorKind::all() {
+            let config = ChaosConfig::new(algorithm, 4)
+                .with_link(floored_link())
+                .with_duration(SimDuration::from_secs(15));
+            let report = run_plan(&config, &FaultPlan::quiet(), 4);
+            assert!(report.ok(), "{algorithm}: {:?}", report.violations);
+            assert!(report.final_leader.is_some(), "{algorithm}: no leader");
+            assert!(report.events_processed > 0);
+        }
+    }
+
+    #[test]
+    fn partitions_reach_every_shard_clone() {
+        let config = ChaosConfig::new(ElectorKind::OmegaLc, 6)
+            .with_link(floored_link())
+            .with_duration(SimDuration::from_secs(18));
+        let plan = FaultPlan::new("split-then-heal")
+            .at(
+                6.0,
+                FaultAction::Partition(vec![
+                    vec![NodeId(0), NodeId(1), NodeId(2)],
+                    vec![NodeId(3), NodeId(4), NodeId(5)],
+                ]),
+            )
+            .at(12.0, FaultAction::Heal);
+        let report = run_plan(&config, &plan, 3);
+        assert!(report.ok(), "{:?}", report.violations);
+        assert!(
+            report.network.partitioned > 0,
+            "the partition must drop traffic on every shard's medium clone"
+        );
+        assert!(report
+            .trace
+            .iter()
+            .any(|e| matches!(e.kind, TraceEventKind::Healed)));
     }
 }

@@ -40,7 +40,7 @@
 //!     .at(20.0, FaultAction::Heal);
 //! let config = ChaosConfig::new(ElectorKind::OmegaL, 4)
 //!     .with_duration(SimDuration::from_secs(30));
-//! let report = run_plan(&config, &plan);
+//! let report = run_plan(&config, &plan, 1);
 //! assert!(report.ok(), "invariant violations: {:#?}", report.violations);
 //! assert!(report.network.partitioned > 0, "the partition did bite");
 //! ```
@@ -51,7 +51,6 @@
 pub mod convert;
 pub mod engine;
 pub mod invariants;
-pub mod par;
 pub mod plan;
 pub mod shrink;
 pub mod sweep;
@@ -60,7 +59,6 @@ pub mod trace;
 pub use convert::{convert_record, convert_trace};
 pub use engine::{run_plan, ChaosConfig, ChaosReport, CHAOS_GROUP};
 pub use invariants::{check_trace, InvariantSpec, Violation, ViolationKind};
-pub use par::run_plan_parallel;
 pub use plan::{link_to_code, FaultAction, FaultPlan, PlanKind, TimedAction};
 pub use shrink::{shrink_plan, Shrunk};
 pub use sweep::{

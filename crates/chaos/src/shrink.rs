@@ -26,7 +26,7 @@ pub fn shrink_plan(config: &ChaosConfig, plan: &FaultPlan) -> Shrunk {
     let mut runs = 0u64;
     let mut fails = |candidate: &FaultPlan| {
         runs += 1;
-        !run_plan(config, candidate).violations.is_empty()
+        !run_plan(config, candidate, 1).violations.is_empty()
     };
     if !fails(plan) {
         return Shrunk {

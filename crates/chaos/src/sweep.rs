@@ -277,7 +277,7 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 let seed = config.seed_base + offset;
                 let chaos = config.chaos_config(algorithm, nodes, seed);
                 let plan = kind.generate(nodes, config.duration, config.link, seed);
-                let report = run_plan(&chaos, &plan);
+                let report = run_plan(&chaos, &plan, 1);
                 runs += 1;
                 if report.ok() {
                     continue;
@@ -359,7 +359,7 @@ pub fn render_regression_test(
          \x20   )\n\
          \x20   .with_duration(sle_sim::SimDuration::from_nanos({duration}))\n\
          \x20   .with_settle(sle_sim::SimDuration::from_nanos({settle}));\n\
-         \x20   let report = sle_chaos::run_plan(&config, &plan);\n\
+         \x20   let report = sle_chaos::run_plan(&config, &plan, 1);\n\
          \x20   assert!(report.ok(), \"invariant violations: {{:#?}}\", report.violations);\n\
          }}\n",
         slug = slug,

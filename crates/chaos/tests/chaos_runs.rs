@@ -23,7 +23,7 @@ fn every_plan_family_passes_on_every_service() {
         for kind in PlanKind::all() {
             let chaos = config(algorithm, 77);
             let plan = kind.generate(chaos.nodes, chaos.duration, chaos.link, 77);
-            let report = run_plan(&chaos, &plan);
+            let report = run_plan(&chaos, &plan, 1);
             assert!(
                 report.ok(),
                 "{algorithm} / {}: {:#?}",
@@ -51,7 +51,7 @@ fn partition_drops_traffic_and_heals_back_to_one_leader() {
             ]),
         )
         .at(24.0, FaultAction::Heal);
-    let report = run_plan(&chaos, &plan);
+    let report = run_plan(&chaos, &plan, 1);
     assert!(report.ok(), "{:#?}", report.violations);
     assert!(
         report.network.partitioned > 0,
@@ -70,7 +70,7 @@ fn duplication_overlay_actually_duplicates_datagrams() {
     let plan = FaultPlan::new("dup-window")
         .at(10.0, FaultAction::SetLink(overlay))
         .at(25.0, FaultAction::SetLink(chaos.link));
-    let report = run_plan(&chaos, &plan);
+    let report = run_plan(&chaos, &plan, 1);
     assert!(report.ok(), "{:#?}", report.violations);
     assert!(
         report.network.duplicated > 0,
@@ -86,7 +86,7 @@ fn mid_run_leave_and_rejoin_of_the_leader_is_survived() {
     let plan = FaultPlan::new("leader-leaves")
         .at(12.0, FaultAction::Leave(NodeId(0)))
         .at(22.0, FaultAction::Join(NodeId(0)));
-    let report = run_plan(&chaos, &plan);
+    let report = run_plan(&chaos, &plan, 1);
     assert!(report.ok(), "{:#?}", report.violations);
     let left = report
         .trace
@@ -118,7 +118,7 @@ fn weakened_detector_is_caught_and_shrunk_to_a_minimal_reproducer() {
         )
         .with_link(LinkSpec::from_paper_tuple(25.0, 0.1));
     let plan = PlanKind::DriftStep.generate(3, weakened.duration, weakened.link, 5);
-    let report = run_plan(&weakened, &plan);
+    let report = run_plan(&weakened, &plan, 1);
     assert!(
         !report.ok(),
         "the weakened detector must violate invariants"
@@ -140,7 +140,7 @@ fn weakened_detector_is_caught_and_shrunk_to_a_minimal_reproducer() {
         "shrinking kept irrelevant actions: {:?}",
         shrunk.plan
     );
-    assert!(!run_plan(&weakened, &shrunk.plan).ok());
+    assert!(!run_plan(&weakened, &shrunk.plan, 1).ok());
 }
 
 #[test]

@@ -56,8 +56,9 @@
 //!
 //! let n = 4;
 //! let group = GroupId(1);
-//! let mut world: World<ServiceNode, PerfectMedium> = World::new(
+//! let mut world: ParWorld<ServiceNode, PerfectMedium> = ParWorld::new(
 //!     n,
+//!     1,
 //!     Box::new(move |node, _| {
 //!         ServiceNode::new(
 //!             ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL)
@@ -67,8 +68,7 @@
 //!     PerfectMedium,
 //!     1,
 //! );
-//! let mut observer = NullObserver;
-//! world.run_for(SimDuration::from_secs(5), &mut observer);
+//! world.run_for(SimDuration::from_secs(5), &mut [NullObserver]);
 //! let leader = world.actor(NodeId(0)).unwrap().leader_of(group);
 //! assert!(leader.is_some());
 //! ```

@@ -1520,9 +1520,10 @@ mod tests {
         n: usize,
         algorithm: ElectorKind,
         seed: u64,
-    ) -> World<ServiceNode, PerfectMedium> {
-        World::new(
+    ) -> ParWorld<ServiceNode, PerfectMedium> {
+        ParWorld::new(
             n,
+            1,
             Box::new(move |node, _inc| {
                 let config = ServiceConfig::full_mesh(node, n, algorithm)
                     .with_auto_join(GROUP, JoinConfig::candidate());
@@ -1534,7 +1535,7 @@ mod tests {
     }
 
     fn agreed_leader<M: Medium>(
-        world: &World<ServiceNode, M>,
+        world: &ParWorld<ServiceNode, M>,
         group: GroupId,
     ) -> Option<ProcessId> {
         let mut leader = None;
@@ -1557,7 +1558,7 @@ mod tests {
     fn a_group_of_services_agrees_on_a_leader() {
         for algorithm in ElectorKind::all() {
             let mut world = build_world(4, algorithm, 7);
-            let mut obs = NullObserver;
+            let mut obs = [NullObserver];
             world.run_for(SimDuration::from_secs(5), &mut obs);
             let leader = agreed_leader(&world, GROUP);
             assert!(leader.is_some(), "{algorithm}: no agreement after 5 s");
@@ -1568,7 +1569,7 @@ mod tests {
     fn leader_crash_triggers_reelection_within_seconds() {
         for algorithm in ElectorKind::all() {
             let mut world = build_world(4, algorithm, 11);
-            let mut obs = NullObserver;
+            let mut obs = [NullObserver];
             world.run_for(SimDuration::from_secs(5), &mut obs);
             let leader = agreed_leader(&world, GROUP).expect("initial leader");
 
@@ -1594,7 +1595,7 @@ mod tests {
             (ElectorKind::OmegaL, false),
         ] {
             let mut world = build_world(4, algorithm, 13);
-            let mut obs = NullObserver;
+            let mut obs = [NullObserver];
             world.schedule_crash(NodeId(0), SimInstant::from_secs_f64(3.0));
             world.schedule_recovery(NodeId(0), SimInstant::from_secs_f64(20.0));
             world.run_for(SimDuration::from_secs(15), &mut obs);
@@ -1617,7 +1618,7 @@ mod tests {
     #[test]
     fn omega_l_converges_to_a_single_sender() {
         let mut world = build_world(6, ElectorKind::OmegaL, 19);
-        let mut obs = NullObserver;
+        let mut obs = [NullObserver];
         world.run_for(SimDuration::from_secs(10), &mut obs);
         let competing: Vec<NodeId> = (0..6)
             .map(|i| NodeId(i as u32))
@@ -1640,7 +1641,7 @@ mod tests {
     #[test]
     fn omega_lc_keeps_every_candidate_sending() {
         let mut world = build_world(4, ElectorKind::OmegaLc, 23);
-        let mut obs = NullObserver;
+        let mut obs = [NullObserver];
         world.run_for(SimDuration::from_secs(5), &mut obs);
         for i in 0..4 {
             assert!(world.actor(NodeId(i)).unwrap().is_competing(GROUP));
@@ -1684,8 +1685,9 @@ mod tests {
     #[test]
     fn listener_follows_without_becoming_leader() {
         let n = 3;
-        let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        let mut world: ParWorld<ServiceNode, PerfectMedium> = ParWorld::new(
             n,
+            1,
             Box::new(move |node, _inc| {
                 let join = if node == NodeId(2) {
                     JoinConfig::listener()
@@ -1699,7 +1701,7 @@ mod tests {
             PerfectMedium,
             31,
         );
-        let mut obs = NullObserver;
+        let mut obs = [NullObserver];
         world.run_for(SimDuration::from_secs(5), &mut obs);
         let leader = agreed_leader(&world, GROUP).expect("leader");
         assert_ne!(leader.node, NodeId(2), "a listener must never be elected");
@@ -1718,8 +1720,9 @@ mod tests {
                 SimInstant::from_secs_f64(40.0),
                 SimDuration::from_millis(150),
             );
-        let mut world: World<ServiceNode, SteppedDelayMedium> = World::new(
+        let mut world: ParWorld<ServiceNode, SteppedDelayMedium> = ParWorld::new(
             n,
+            1,
             Box::new(move |node, _inc| {
                 let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
                     .with_auto_join(GROUP, JoinConfig::candidate().with_adaptive_tuning());
@@ -1728,8 +1731,8 @@ mod tests {
             medium,
             3,
         );
-        let mut obs = NullObserver;
-        let params_at = |world: &World<ServiceNode, SteppedDelayMedium>| {
+        let mut obs = [NullObserver];
+        let params_at = |world: &ParWorld<ServiceNode, SteppedDelayMedium>| {
             world
                 .actor(NodeId(0))
                 .unwrap()
@@ -1797,8 +1800,9 @@ mod tests {
         // into one batched datagram.
         let n = 2;
         let groups = [GroupId(1), GroupId(2), GroupId(3)];
-        let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        let mut world: ParWorld<ServiceNode, PerfectMedium> = ParWorld::new(
             n,
+            1,
             Box::new(move |node, _inc| {
                 let mut config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc);
                 for group in groups {
@@ -1809,7 +1813,7 @@ mod tests {
             PerfectMedium,
             41,
         );
-        let mut obs = NullObserver;
+        let mut obs = [NullObserver];
         world.run_for(SimDuration::from_secs(5), &mut obs);
         for i in 0..n {
             let actor = world.actor(NodeId(i as u32)).unwrap();
@@ -1840,8 +1844,9 @@ mod tests {
         // tick, so steady-state traffic is 2 payloads per datagram — not
         // one datagram per group forever.
         let n = 2;
-        let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        let mut world: ParWorld<ServiceNode, PerfectMedium> = ParWorld::new(
             n,
+            1,
             Box::new(move |node, _inc| {
                 let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
                     .with_auto_join(GroupId(1), JoinConfig::candidate());
@@ -1850,10 +1855,10 @@ mod tests {
             PerfectMedium,
             43,
         );
-        let mut obs = NullObserver;
+        let mut obs = [NullObserver];
         world.run_for(SimDuration::from_millis(330), &mut obs);
         for i in 0..n as u32 {
-            world.with_actor(NodeId(i), &mut obs, |actor, ctx| {
+            world.with_actor(NodeId(i), &mut obs[0], |actor, ctx| {
                 let process = actor.register_process();
                 actor
                     .join_group(process, GroupId(2), JoinConfig::candidate(), ctx)
@@ -1862,7 +1867,7 @@ mod tests {
         }
         // Let the phases converge, then measure a steady-state window.
         world.run_for(SimDuration::from_secs(5), &mut obs);
-        let counts = |world: &World<ServiceNode, PerfectMedium>, i: u32| {
+        let counts = |world: &ParWorld<ServiceNode, PerfectMedium>, i: u32| {
             let actor = world.actor(NodeId(i)).unwrap();
             (actor.alive_payloads_sent(), actor.alive_datagrams_sent())
         };
@@ -1891,8 +1896,9 @@ mod tests {
     fn nodes_in_different_groups_do_not_interfere() {
         // Nodes 0,1 join group 1; nodes 2,3 join group 2.
         let n = 4;
-        let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        let mut world: ParWorld<ServiceNode, PerfectMedium> = ParWorld::new(
             n,
+            1,
             Box::new(move |node, _inc| {
                 let group = if node.0 < 2 { GroupId(1) } else { GroupId(2) };
                 let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
@@ -1902,7 +1908,7 @@ mod tests {
             PerfectMedium,
             37,
         );
-        let mut obs = NullObserver;
+        let mut obs = [NullObserver];
         world.run_for(SimDuration::from_secs(5), &mut obs);
         let leader1 = world
             .actor(NodeId(0))
@@ -1957,9 +1963,9 @@ mod tests {
     #[test]
     fn leader_serves_fenced_requests_and_followers_redirect() {
         let mut world = build_world(2, ElectorKind::OmegaLc, 61);
-        let mut obs = NullObserver;
+        let mut obs = [NullObserver];
         for i in 0..2u32 {
-            world.with_actor(NodeId(i), &mut obs, |actor, _ctx| {
+            world.with_actor(NodeId(i), &mut obs[0], |actor, _ctx| {
                 actor.install_app(Box::new(TestApp::default()));
                 assert!(actor.has_app());
             });
@@ -1968,7 +1974,7 @@ mod tests {
         let leader = agreed_leader(&world, GROUP).expect("agreed leader").node;
         let follower = NodeId(1 - leader.0);
 
-        world.with_actor(leader, &mut obs, |actor, ctx| {
+        world.with_actor(leader, &mut obs[0], |actor, ctx| {
             let lease = actor.lease_of(GROUP).expect("the leader holds a lease");
             assert_eq!(lease.token.node, leader);
             assert!(lease.valid_at(ctx.now()), "lease expired while leading");
@@ -1989,7 +1995,7 @@ mod tests {
             assert_eq!(actor.client_requests_redirected(), 0);
         });
 
-        world.with_actor(follower, &mut obs, |actor, ctx| {
+        world.with_actor(follower, &mut obs[0], |actor, ctx| {
             // The follower holds no lease of its own…
             assert_eq!(actor.lease_of(GROUP), None);
             // …but has heard the leader's LeaseGrant broadcasts.
@@ -2033,8 +2039,9 @@ mod tests {
         // ACCUSE minted against the pre-upgrade elector life must not be
         // honoured by the recreated one.
         let n = 3;
-        let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        let mut world: ParWorld<ServiceNode, PerfectMedium> = ParWorld::new(
             n,
+            1,
             Box::new(move |node, _inc| {
                 let join = if node == NodeId(2) {
                     JoinConfig::listener()
@@ -2048,14 +2055,14 @@ mod tests {
             PerfectMedium,
             67,
         );
-        let mut obs = NullObserver;
+        let mut obs = [NullObserver];
         world.run_for(SimDuration::from_secs(5), &mut obs);
         let before = agreed_leader(&world, GROUP).expect("settled leader");
         assert_ne!(before.node, NodeId(2));
 
         // Upgrade node 2 to candidate: the elector is recreated with an
         // epoch floor above everything its previous life advertised.
-        world.with_actor(NodeId(2), &mut obs, |actor, ctx| {
+        world.with_actor(NodeId(2), &mut obs[0], |actor, ctx| {
             let process = actor.register_process();
             actor
                 .join_group(process, GROUP, JoinConfig::candidate(), ctx)
@@ -2112,8 +2119,9 @@ mod tests {
             sle_net::link::LinkSpec::from_paper_tuple(10.0, 0.01),
         )
         .build(seed);
-        let mut world: World<ServiceNode, sle_net::network::SimulatedNetwork> = World::new(
+        let mut world: ParWorld<ServiceNode, sle_net::network::SimulatedNetwork> = ParWorld::new(
             n,
+            1,
             Box::new(move |node, _inc| {
                 let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL)
                     .with_auto_join(GROUP, JoinConfig::candidate());
@@ -2122,11 +2130,12 @@ mod tests {
             medium,
             seed,
         );
-        let mut obs = LeaderTrace::default();
+        let mut obs = [LeaderTrace::default()];
         world.schedule_crash(NodeId(1), SimInstant::from_secs_f64(4.0));
         world.schedule_recovery(NodeId(1), SimInstant::from_secs_f64(9.0));
         world.schedule_crash(NodeId(3), SimInstant::from_secs_f64(12.0));
         world.run_for(SimDuration::from_secs(20), &mut obs);
+        let [obs] = obs;
         obs.events
     }
 
@@ -2157,7 +2166,7 @@ mod tests {
         // long-lived group (and the node's own cached handle) still uses.
         let n = 2u32;
         let mut world = build_world(n as usize, ElectorKind::OmegaLc, 71);
-        let mut obs = NullObserver;
+        let mut obs = [NullObserver];
         world.run_for(SimDuration::from_secs(2), &mut obs);
         let baseline: Vec<usize> = (0..n)
             .map(|i| world.actor(NodeId(i)).unwrap().monitored_peer_count())
@@ -2169,7 +2178,7 @@ mod tests {
         let churn = GroupId(50);
         for round in 0..10 {
             for i in 0..n {
-                world.with_actor(NodeId(i), &mut obs, |actor, ctx| {
+                world.with_actor(NodeId(i), &mut obs[0], |actor, ctx| {
                     let process = actor.register_process();
                     actor
                         .join_group(process, churn, JoinConfig::candidate(), ctx)
@@ -2178,7 +2187,7 @@ mod tests {
             }
             world.run_for(SimDuration::from_millis(400), &mut obs);
             for i in 0..n {
-                world.with_actor(NodeId(i), &mut obs, |actor, ctx| {
+                world.with_actor(NodeId(i), &mut obs[0], |actor, ctx| {
                     for process in actor.local_members_of(churn) {
                         actor
                             .leave_group(process, churn, ctx)

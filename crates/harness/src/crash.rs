@@ -5,13 +5,13 @@
 //! exponentially distributed recovery time (mean 5 s); the crash kills the
 //! service instance and the application process on that workstation
 //! (Section 6.1). [`CrashPlan`] pre-computes such a schedule deterministically
-//! from a seed and installs it into a simulator [`World`].
+//! from a seed and installs it into a simulator [`ParWorld`].
 
 use sle_sim::actor::{Actor, NodeId};
 use sle_sim::medium::Medium;
+use sle_sim::par::ParWorld;
 use sle_sim::rng::SimRng;
 use sle_sim::time::{SimDuration, SimInstant};
-use sle_sim::world::World;
 
 /// Parameters of the workstation crash/recovery process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,7 +98,7 @@ impl CrashPlan {
     }
 
     /// Installs the plan into a simulator world.
-    pub fn install<A: Actor, M: Medium>(&self, world: &mut World<A, M>) {
+    pub fn install<A: Actor, M: Medium>(&self, world: &mut ParWorld<A, M>) {
         for event in &self.events {
             if event.is_crash {
                 world.schedule_crash(event.node, event.at);

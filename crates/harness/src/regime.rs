@@ -17,8 +17,8 @@ use sle_fd::QosSpec;
 use sle_net::drift::{DriftSchedule, DriftingNetwork};
 use sle_net::link::LinkSpec;
 use sle_sim::actor::NodeId;
+use sle_sim::par::ParWorld;
 use sle_sim::time::{SimDuration, SimInstant};
-use sle_sim::world::World;
 
 use crate::metrics::{ExperimentMetrics, MetricsCollector};
 use crate::scenario::EXPERIMENT_GROUP;
@@ -77,8 +77,9 @@ impl RegimeShiftScenario {
         let algorithm = self.algorithm;
         let qos = self.qos;
         let medium = self.schedule.clone().build();
-        let mut world: World<ServiceNode, DriftingNetwork> = World::new(
+        let mut world: ParWorld<ServiceNode, DriftingNetwork> = ParWorld::new(
             n,
+            1,
             Box::new(move |node, _incarnation| {
                 let join = JoinConfig::candidate().with_qos(qos).with_tuning(tuning);
                 let config = ServiceConfig::full_mesh(node, n, algorithm)
@@ -89,7 +90,7 @@ impl RegimeShiftScenario {
             self.seed,
         );
 
-        let mut collector = MetricsCollector::new(EXPERIMENT_GROUP, n, SimInstant::ZERO);
+        let mut collector = [MetricsCollector::new(EXPERIMENT_GROUP, n, SimInstant::ZERO)];
         world.run_until(self.leader_crash_at, &mut collector);
         let leader = agreed_leader(&world)
             .expect("the group must have agreed on a leader before the scheduled crash");
@@ -108,6 +109,7 @@ impl RegimeShiftScenario {
         world.schedule_crash(leader.node, crash_at);
         world.run_until(SimInstant::ZERO + self.duration, &mut collector);
 
+        let [collector] = collector;
         RegimeShiftOutcome {
             metrics: collector.finish(SimInstant::ZERO + self.duration),
             crashed_leader: leader,
@@ -124,7 +126,7 @@ impl RegimeShiftScenario {
     }
 }
 
-fn agreed_leader(world: &World<ServiceNode, DriftingNetwork>) -> Option<ProcessId> {
+fn agreed_leader(world: &ParWorld<ServiceNode, DriftingNetwork>) -> Option<ProcessId> {
     let mut leader = None;
     for i in 0..world.num_nodes() {
         let node = NodeId(i as u32);

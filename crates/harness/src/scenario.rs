@@ -6,8 +6,8 @@ use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_net::link::{LinkCrashSpec, LinkSpec};
 use sle_net::network::NetworkModel;
+use sle_sim::par::ParWorld;
 use sle_sim::time::{SimDuration, SimInstant};
-use sle_sim::world::World;
 
 use crate::crash::{CrashPlan, CrashProfile};
 use crate::metrics::{ExperimentMetrics, MetricsCollector};
@@ -106,8 +106,9 @@ impl Scenario {
         }
         let medium = network.build(self.seed.wrapping_add(1));
 
-        let mut world: World<ServiceNode, _> = World::new(
+        let mut world: ParWorld<ServiceNode, _> = ParWorld::new(
             n,
+            1,
             Box::new(move |node, _incarnation| {
                 let config = ServiceConfig::full_mesh(node, n, algorithm)
                     .with_auto_join(EXPERIMENT_GROUP, JoinConfig::candidate().with_qos(qos));
@@ -124,8 +125,9 @@ impl Scenario {
         }
 
         let measure_from = SimInstant::ZERO + self.warmup;
-        let mut collector = MetricsCollector::new(EXPERIMENT_GROUP, n, measure_from);
+        let mut collector = [MetricsCollector::new(EXPERIMENT_GROUP, n, measure_from)];
         world.run_until(SimInstant::ZERO + total, &mut collector);
+        let [collector] = collector;
         collector.finish(SimInstant::ZERO + total)
     }
 }

@@ -112,7 +112,7 @@ impl NetworkModel {
     }
 
     /// Instantiates the runtime state for this model, ready to be handed to a
-    /// [`World`](sle_sim::world::World). `seed` controls the per-link outage
+    /// [`ParWorld`](sle_sim::par::ParWorld). `seed` controls the per-link outage
     /// processes and is independent from the world's message-level seed.
     pub fn build(self, seed: u64) -> SimulatedNetwork {
         SimulatedNetwork {

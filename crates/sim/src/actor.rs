@@ -5,7 +5,7 @@
 //! and `on_timer` callbacks and records the effects it wants to perform —
 //! messages to send, timers to arm, application events to raise — into the
 //! [`Context`]. Whoever drives the actor (the discrete-event
-//! [`World`](crate::world::World) or a threaded runtime) interprets those
+//! [`ParWorld`](crate::par::ParWorld) or a threaded runtime) interprets those
 //! effects. Protocol code therefore contains no I/O and no clock reads,
 //! which is what makes it possible to run the exact same code for days of
 //! virtual time in seconds of wall-clock time.

@@ -16,7 +16,8 @@
 //! * [`medium`] — the pluggable link-model interface,
 //! * [`wheel`] — the hierarchical timer wheel backing the event loop
 //!   (`O(1)` scheduling at any population of pending timers),
-//! * [`world`] — the event loop with node crash/recovery support,
+//! * [`par`] — the event loop with node crash/recovery support, sharded
+//!   across sim workers with conservative lookahead (see `docs/SIM.md`),
 //! * [`observer`] — hooks from which the experiment harness computes the
 //!   paper's QoS metrics.
 //!
@@ -40,10 +41,10 @@
 //!     }
 //! }
 //!
-//! let mut world = World::new(1, Box::new(|_, _| Ticker), PerfectMedium, 1);
-//! let mut counter = CountingObserver::new();
+//! let mut world = ParWorld::new(1, 1, Box::new(|_, _| Ticker), PerfectMedium, 1);
+//! let mut counter = [CountingObserver::new()];
 //! world.run_for(SimDuration::from_secs(10), &mut counter);
-//! assert_eq!(counter.events, 10);
+//! assert_eq!(counter[0].events, 10);
 //! ```
 
 #![warn(missing_docs)]
@@ -58,7 +59,6 @@ pub mod rng;
 pub mod time;
 pub mod timeline;
 pub mod wheel;
-pub mod world;
 
 /// Convenient re-exports of the items most users need.
 pub mod prelude {
@@ -72,7 +72,6 @@ pub mod prelude {
     pub use crate::time::{SimDuration, SimInstant};
     pub use crate::timeline::Timeline;
     pub use crate::wheel::{EventWheel, TimerWheel};
-    pub use crate::world::{ActorFactory, World};
 }
 
 pub use actor::{Actor, Context, Effect, NodeId, TimerTag, WireSize};
@@ -84,4 +83,3 @@ pub use rng::SimRng;
 pub use time::{SimDuration, SimInstant};
 pub use timeline::Timeline;
 pub use wheel::{EventWheel, TimerWheel};
-pub use world::{ActorFactory, World};

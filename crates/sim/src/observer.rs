@@ -1,7 +1,7 @@
 //! Observation hooks for simulations.
 //!
 //! An [`Observer`] is notified of everything that happens while a
-//! [`World`](crate::world::World) runs: messages sent, dropped and
+//! [`ParWorld`](crate::par::ParWorld) runs: messages sent, dropped and
 //! delivered, timers firing, nodes crashing and recovering, and
 //! application-level events emitted by actors. The experiment harness uses
 //! observers to compute the paper's QoS metrics (leader recovery time,

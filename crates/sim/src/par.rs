@@ -1,10 +1,19 @@
-//! Sharded parallel discrete-event simulation with conservative lookahead.
+//! The discrete-event simulation engine: a sharded world with conservative
+//! lookahead.
 //!
-//! [`ParWorld`] partitions the nodes of a simulation across `W` sim workers
-//! (round-robin by node id, the same dense interning idea as
-//! [`dense`](crate::dense): global node `g` lives in shard `g % W` at local
-//! slot `g / W`). Each shard owns its slice of node state, its own
-//! [`EventWheel`], and one RNG stream per node. Workers advance through
+//! A [`ParWorld`] owns a set of nodes (each running one [`Actor`], here the
+//! leader-election `ServiceNode`), a [`Medium`] deciding the fate of every
+//! message, a virtual clock and per-node deterministic RNG streams. Node
+//! crashes and recoveries — the "module that simulates the crashes and
+//! recoveries of workstations" of the paper's Section 6.1 — are injected by
+//! scheduling [`ParWorld::schedule_crash`] / [`ParWorld::schedule_recovery`]
+//! events, exactly like the authors killed and restarted service instances.
+//!
+//! The nodes are partitioned across `W` sim workers round-robin by node id
+//! (the same dense interning idea as [`dense`](crate::dense): global node
+//! `g` lives in shard `g % W` at local slot `g / W`). Each shard owns its
+//! slice of node state, its own [`EventWheel`], its own clone of the medium
+//! and one RNG stream per node. Workers advance through
 //! *barrier-delimited epochs* whose width is the medium's
 //! [`min_delay`](crate::medium::Medium::min_delay) — the *lookahead* `L` of
 //! a conservative parallel simulation. Within the half-open window
@@ -12,21 +21,20 @@
 //! (every delivery takes at least `L`), so shards process their local
 //! events independently and exchange the buffered cross-shard sends at the
 //! epoch barrier. No null messages are needed: the barrier itself bounds
-//! the skew.
+//! the skew. With one worker, or a medium without a delay floor, the world
+//! runs inline on the calling thread and spawns no threads.
 //!
 //! # Determinism
 //!
-//! Unlike the sequential [`World`](crate::world::World), which orders
-//! simultaneous events by a global push counter and draws all randomness
-//! from one execution-ordered stream, `ParWorld` uses *partition-independent*
-//! coordinates so that every worker count replays the same execution:
+//! Every coordinate of the execution is *partition-independent*, so every
+//! worker count replays the same execution:
 //!
 //! * every event carries a canonical key `(origin_node << 32) | per_node_seq`
 //!   — ties at equal virtual time resolve by origin node, then by the
 //!   origin's own event counter, an order no shard boundary can perturb;
-//! * message fates are drawn from the *sender's* per-node RNG stream
-//!   (seeded from `(world_seed, node_id)`), so a link's loss/delay sequence
-//!   depends only on the sender's canonical event order.
+//! * message fates are drawn by the sender's shard from the *sender's*
+//!   per-node RNG stream (seeded from `(world_seed, node_id)`), so a link's
+//!   loss/delay sequence depends only on the sender's canonical event order.
 //!
 //! A given `(seed, workload)` therefore produces identical observers,
 //! event counts and final actor states for **any** `workers` value,
@@ -40,24 +48,87 @@
 //! merged loop that pops the globally minimal `(time, key)` event across
 //! all shards — the exact canonical order the epochs would have produced,
 //! just without parallel speedup.
+//!
+//! # Panics on sim workers
+//!
+//! A panic inside an actor or observer on any worker fails the run rather
+//! than hanging it: the worker records the panic, keeps taking part in the
+//! epoch barriers until the coordinator ends the run, and
+//! [`ParWorld::run_until`] then resumes the first recorded panic on the
+//! calling thread.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use crate::actor::{Actor, Context, Effect, NodeId, TimerTag, WireSize};
+use crate::dense::TagMap;
 use crate::medium::{Fate, Medium};
 use crate::observer::Observer;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimInstant};
 use crate::wheel::EventWheel;
-use crate::world::{EventKind, NodeSlot};
 
 /// Builds (or rebuilds, after a recovery) the actor for a node.
 ///
-/// The parallel driver's counterpart of
-/// [`ActorFactory`](crate::world::ActorFactory): recoveries execute on sim
-/// worker threads, so the factory must be callable from any of them.
+/// The second argument is the incarnation number: 0 for the initial start and
+/// incremented by one on every recovery, so protocol code can distinguish
+/// state from previous lives of the same workstation. Recoveries execute on
+/// sim worker threads, so the factory must be callable from any of them.
 pub type SharedActorFactory<A> = Box<dyn Fn(NodeId, u64) -> A + Send + Sync>;
+
+/// The event vocabulary of a shard's wheel.
+#[derive(Debug)]
+enum EventKind<M> {
+    Start {
+        node: NodeId,
+    },
+    Deliver {
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        bytes: usize,
+    },
+    Timer {
+        node: NodeId,
+        tag: TimerTag,
+        node_epoch: u64,
+        generation: u64,
+    },
+    Crash {
+        node: NodeId,
+    },
+    Recover {
+        node: NodeId,
+    },
+}
+
+struct NodeSlot<A> {
+    actor: Option<A>,
+    up: bool,
+    incarnation: u64,
+    /// Bumped on every crash so stale timer events are discarded.
+    epoch: u64,
+    /// Per-tag generation counters; a timer event only fires if its recorded
+    /// generation still matches. Keyed by the raw tag value in a dense
+    /// open-addressing map — this table is touched on every arm/cancel/fire.
+    timers: TagMap,
+    timer_generation: u64,
+}
+
+impl<A> NodeSlot<A> {
+    fn new(actor: A) -> Self {
+        NodeSlot {
+            actor: Some(actor),
+            up: true,
+            incarnation: 0,
+            epoch: 0,
+            timers: TagMap::new(),
+            timer_generation: 0,
+        }
+    }
+}
 
 /// An event en route to another shard: `(arrival, canonical key, payload)`.
 type OutEvent<M> = (SimInstant, u64, EventKind<M>);
@@ -341,15 +412,11 @@ impl<A: Actor, M: Medium> Shard<A, M> {
     }
 }
 
-/// The sharded parallel counterpart of [`World`](crate::world::World).
+/// The discrete-event simulator driving a set of actors.
 ///
-/// See the [module documentation](self) for the execution model. The public
-/// API mirrors `World`, with two deliberate differences:
-///
-/// * the factory is a [`SharedActorFactory`] (recoveries run on worker
-///   threads),
-/// * [`ParWorld::run_until`] takes one observer **per worker**; the caller
-///   merges them afterwards (counters sum, traces merge-sort by time).
+/// See the [module documentation](self) for the execution model.
+/// [`ParWorld::run_until`] takes one observer **per worker**; the caller
+/// merges them afterwards (counters sum, traces merge-sort by time).
 pub struct ParWorld<A: Actor, M: Medium> {
     now: SimInstant,
     workers: usize,
@@ -362,8 +429,9 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
     /// Creates a world with `num_nodes` nodes sharded across `workers` sim
     /// workers (clamped to the node count), all initially up.
     ///
-    /// Each shard receives an independent clone of `medium`; the factory is
-    /// invoked in global node-id order, exactly like the sequential world.
+    /// Each shard receives an independent clone of `medium`. Every node's
+    /// actor is built by `factory`, in global node-id order, and receives its
+    /// `on_start` callback at time zero.
     pub fn new(
         num_nodes: usize,
         workers: usize,
@@ -487,6 +555,9 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
     }
 
     /// Mutable access to the actor of `node`, if the node is up.
+    ///
+    /// Intended for test instrumentation and the experiment harness;
+    /// protocol interactions should go through messages and timers.
     pub fn actor_mut(&mut self, node: NodeId) -> Option<&mut A> {
         let s = self.shard_of(node);
         let local = node.index() / self.workers;
@@ -501,8 +572,7 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
     /// Applies `f` to every shard's medium clone, in shard order.
     ///
     /// Mid-run topology mutations (partitions, link overlays) must reach
-    /// every clone to stay consistent; this is the parallel counterpart of
-    /// [`World::medium_mut`](crate::world::World::medium_mut).
+    /// every clone to stay consistent.
     pub fn for_each_medium(&mut self, mut f: impl FnMut(&mut M)) {
         for shard in &mut self.shards {
             f(&mut shard.medium);
@@ -516,6 +586,8 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
     }
 
     /// Schedules a crash of `node` at absolute time `at`.
+    ///
+    /// Crashing an already-crashed node is a no-op at processing time.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimInstant) {
         let s = self.shard_of(node);
         let shard = &mut self.shards[s];
@@ -524,6 +596,8 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
     }
 
     /// Schedules a recovery of `node` at absolute time `at`.
+    ///
+    /// Recovering an already-up node is a no-op at processing time.
     pub fn schedule_recovery(&mut self, node: NodeId, at: SimInstant) {
         let s = self.shard_of(node);
         let shard = &mut self.shards[s];
@@ -532,7 +606,8 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
     }
 
     /// Applies a closure to a live actor through the same effect-processing
-    /// path as message and timer callbacks (harness API commands).
+    /// path as message and timer callbacks. This is how the harness issues
+    /// API commands (register, join group, leave group) to service nodes.
     pub fn with_actor<O, F>(&mut self, node: NodeId, observer: &mut O, f: F)
     where
         O: Observer<A::Event>,
@@ -571,11 +646,12 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
 
     /// Runs the simulation until virtual time `deadline`, reporting shard
     /// `w`'s activity to `observers[w]`. Events scheduled exactly at
-    /// `deadline` are processed, as in the sequential world.
+    /// `deadline` are processed.
     ///
     /// # Panics
     ///
-    /// Panics unless `observers.len() == self.workers()`.
+    /// Panics unless `observers.len() == self.workers()`, and resumes the
+    /// panic of any actor or observer that panicked on a sim worker.
     pub fn run_until<O>(&mut self, deadline: SimInstant, observers: &mut [O])
     where
         O: Observer<A::Event> + Send,
@@ -661,8 +737,19 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
         let global_next = AtomicU64::new(u64::MAX);
         let epoch_upper = AtomicU64::new(0);
         let done = AtomicBool::new(false);
+        let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         let inboxes: Vec<Mutex<Vec<OutEvent<A::Msg>>>> =
             (0..workers).map(|_| Mutex::new(Vec::new())).collect();
+        let sync = EpochSync {
+            barrier: &barrier,
+            global_next: &global_next,
+            epoch_upper: &epoch_upper,
+            done: &done,
+            failure: &failure,
+            inboxes: &inboxes,
+            lookahead_ns,
+            deadline_ns,
+        };
         let factory: &(dyn Fn(NodeId, u64) -> A + Send + Sync) = &*self.factory;
 
         std::thread::scope(|scope| {
@@ -671,42 +758,32 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
             // Worker 0 (the coordinator) runs on the calling thread.
             let (shard0, observer0) = pairs.remove(0);
             for (shard, observer) in pairs {
-                let barrier = &barrier;
-                let global_next = &global_next;
-                let epoch_upper = &epoch_upper;
-                let done = &done;
-                let inboxes = &inboxes[..];
-                scope.spawn(move || {
-                    epoch_worker(
-                        shard,
-                        observer,
-                        factory,
-                        barrier,
-                        global_next,
-                        epoch_upper,
-                        done,
-                        inboxes,
-                        lookahead_ns,
-                        deadline_ns,
-                        false,
-                    );
-                });
+                let sync = &sync;
+                scope.spawn(move || epoch_worker(shard, observer, factory, sync, false));
             }
-            epoch_worker(
-                shard0,
-                observer0,
-                factory,
-                &barrier,
-                &global_next,
-                &epoch_upper,
-                &done,
-                &inboxes,
-                lookahead_ns,
-                deadline_ns,
-                true,
-            );
+            epoch_worker(shard0, observer0, factory, &sync, true);
         });
+        let failure = failure.into_inner().unwrap_or_else(|e| e.into_inner());
+        if let Some(payload) = failure {
+            panic::resume_unwind(payload);
+        }
     }
+}
+
+/// The state the epoch workers of one [`ParWorld::run_until`] share.
+struct EpochSync<'a, Msg> {
+    barrier: &'a Barrier,
+    /// Minimum next-event time over all shards, published in phase A.
+    global_next: &'a AtomicU64,
+    /// Exclusive upper bound of the current epoch, fixed in phase B.
+    epoch_upper: &'a AtomicU64,
+    /// Set by the coordinator in phase B when the run is over.
+    done: &'a AtomicBool,
+    /// The first panic a worker caught in phase C.
+    failure: &'a Mutex<Option<Box<dyn Any + Send>>>,
+    inboxes: &'a [Mutex<Vec<OutEvent<Msg>>>],
+    lookahead_ns: u64,
+    deadline_ns: u64,
 }
 
 /// One worker's epoch loop.
@@ -718,81 +795,87 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
 /// the destination inboxes. The lookahead guarantees every cross-shard send
 /// from inside the window arrives at or after its upper bound, so next
 /// epoch's inbox drain can never deliver into the past.
-#[allow(clippy::too_many_arguments)]
+///
+/// A panic in phase C is caught and recorded, and the worker keeps meeting
+/// the barriers; the coordinator ends the run at the next phase B, so no
+/// surviving worker is left waiting on a barrier its peer never reaches.
 fn epoch_worker<A, M, O>(
     shard: &mut Shard<A, M>,
     observer: &mut O,
     factory: &(dyn Fn(NodeId, u64) -> A + Send + Sync),
-    barrier: &Barrier,
-    global_next: &AtomicU64,
-    epoch_upper: &AtomicU64,
-    done: &AtomicBool,
-    inboxes: &[Mutex<Vec<OutEvent<A::Msg>>>],
-    lookahead_ns: u64,
-    deadline_ns: u64,
+    sync: &EpochSync<'_, A::Msg>,
     coordinator: bool,
 ) where
     A: Actor,
     M: Medium,
     O: Observer<A::Event>,
 {
-    let mut out: Vec<Vec<OutEvent<A::Msg>>> = (0..inboxes.len()).map(|_| Vec::new()).collect();
+    let mut out: Vec<Vec<OutEvent<A::Msg>>> = (0..sync.inboxes.len()).map(|_| Vec::new()).collect();
     loop {
         // Phase A: merge cross-shard arrivals, publish the local horizon.
         {
-            let mut inbox = inboxes[shard.index].lock().expect("inbox poisoned");
+            let mut inbox = sync.inboxes[shard.index].lock().expect("inbox poisoned");
             for (at, key, kind) in inbox.drain(..) {
                 shard.wheel.push(at, key, kind);
             }
         }
         let local_next = shard.wheel.peek_time().map_or(u64::MAX, |t| t.as_nanos());
-        global_next.fetch_min(local_next, Ordering::SeqCst);
-        barrier.wait();
+        sync.global_next.fetch_min(local_next, Ordering::SeqCst);
+        sync.barrier.wait();
 
         // Phase B: the coordinator fixes this epoch's window.
         if coordinator {
-            let t = global_next.swap(u64::MAX, Ordering::SeqCst);
-            if t == u64::MAX || t > deadline_ns {
-                done.store(true, Ordering::SeqCst);
+            let t = sync.global_next.swap(u64::MAX, Ordering::SeqCst);
+            let failed = sync.failure.lock().map_or(true, |f| f.is_some());
+            if failed || t == u64::MAX || t > sync.deadline_ns {
+                sync.done.store(true, Ordering::SeqCst);
             } else {
                 let upper = t
-                    .saturating_add(lookahead_ns)
-                    .min(deadline_ns.saturating_add(1));
-                epoch_upper.store(upper, Ordering::SeqCst);
+                    .saturating_add(sync.lookahead_ns)
+                    .min(sync.deadline_ns.saturating_add(1));
+                sync.epoch_upper.store(upper, Ordering::SeqCst);
             }
         }
-        barrier.wait();
-        if done.load(Ordering::SeqCst) {
+        sync.barrier.wait();
+        if sync.done.load(Ordering::SeqCst) {
             break;
         }
-        let upper = epoch_upper.load(Ordering::SeqCst);
+        let upper = sync.epoch_upper.load(Ordering::SeqCst);
 
         // Phase C: process everything strictly inside the window; newly
         // produced intra-shard events join in, cross-shard sends buffer.
-        while let Some(t) = shard.wheel.peek_time() {
-            if t.as_nanos() >= upper {
-                break;
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            while let Some(t) = shard.wheel.peek_time() {
+                if t.as_nanos() >= upper {
+                    break;
+                }
+                let (at, _, kind) = shard.wheel.pop().expect("peeked event must pop");
+                shard.exec(at, kind, factory, observer, &mut out);
             }
-            let (at, _, kind) = shard.wheel.pop().expect("peeked event must pop");
-            shard.exec(at, kind, factory, observer, &mut out);
+        }));
+        if let Err(payload) = run {
+            let mut failure = sync.failure.lock().unwrap_or_else(|e| e.into_inner());
+            failure.get_or_insert(payload);
         }
         for (dest, buf) in out.iter_mut().enumerate() {
             if !buf.is_empty() {
-                inboxes[dest].lock().expect("inbox poisoned").append(buf);
+                sync.inboxes[dest]
+                    .lock()
+                    .expect("inbox poisoned")
+                    .append(buf);
             }
         }
-        barrier.wait();
+        sync.barrier.wait();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::medium::{FixedDelayMedium, PerfectMedium};
+    use crate::medium::{FixedDelayMedium, PerfectMedium, Verdict};
     use crate::observer::CountingObserver;
-    use crate::world::World;
 
-    /// The world.rs test actor: pings its successor every 100 ms.
+    /// A small test actor: pings its successor every 100 ms and counts pongs.
     #[derive(Debug, Clone, PartialEq)]
     enum TestMsg {
         Ping(u64),
@@ -810,6 +893,9 @@ mod tests {
         n: u32,
         pings_sent: u64,
         pongs_received: u64,
+        incarnation: u64,
+        /// The actor panics on its first tick at or after this instant.
+        panic_at: Option<SimInstant>,
     }
 
     const TICK: TimerTag = TimerTag(1);
@@ -819,17 +905,25 @@ mod tests {
         type Event = String;
 
         fn on_start(&mut self, ctx: &mut Context<TestMsg, String>) {
+            self.incarnation = ctx.incarnation();
             ctx.set_timer_after(TICK, SimDuration::from_millis(100));
         }
 
         fn on_message(&mut self, from: NodeId, msg: TestMsg, ctx: &mut Context<TestMsg, String>) {
             match msg {
                 TestMsg::Ping(n) => ctx.send(from, TestMsg::Pong(n)),
-                TestMsg::Pong(_) => self.pongs_received += 1,
+                TestMsg::Pong(_) => {
+                    self.pongs_received += 1;
+                    ctx.emit(format!("pong at {}", ctx.now()));
+                }
             }
         }
 
-        fn on_timer(&mut self, _tag: TimerTag, ctx: &mut Context<TestMsg, String>) {
+        fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<TestMsg, String>) {
+            assert_eq!(tag, TICK);
+            if self.panic_at.is_some_and(|at| ctx.now() >= at) {
+                panic!("{:?} fails at {}", self.id, ctx.now());
+            }
             let next = NodeId((self.id.0 + 1) % self.n);
             self.pings_sent += 1;
             ctx.send(next, TestMsg::Ping(self.pings_sent));
@@ -838,30 +932,29 @@ mod tests {
     }
 
     fn ping_factory(n: u32) -> SharedActorFactory<PingActor> {
-        Box::new(move |id, _inc| PingActor {
+        Box::new(move |id, incarnation| PingActor {
             id,
             n,
             pings_sent: 0,
             pongs_received: 0,
+            incarnation,
+            panic_at: None,
         })
     }
 
-    /// One run's comparable fingerprint: totals plus per-node actor state.
-    fn fingerprint<M: Medium + Send + Clone>(
+    fn ping_world<M: Medium + Clone>(
         n: u32,
         workers: usize,
         medium: M,
-        with_churn: bool,
-    ) -> (CountingObserver, u64, Vec<(u64, u64, u64)>) {
-        let mut world = ParWorld::new(n as usize, workers, ping_factory(n), medium, 42);
-        let mut obs = vec![CountingObserver::new(); world.workers()];
-        if with_churn {
-            world.schedule_crash(NodeId(1), SimInstant::from_secs_f64(0.45));
-            world.schedule_recovery(NodeId(1), SimInstant::from_secs_f64(0.75));
-        }
-        world.run_for(SimDuration::from_secs(2), &mut obs);
+        seed: u64,
+    ) -> ParWorld<PingActor, M> {
+        ParWorld::new(n as usize, workers, ping_factory(n), medium, seed)
+    }
+
+    /// Sums per-worker counters into one.
+    fn total(observers: &[CountingObserver]) -> CountingObserver {
         let mut total = CountingObserver::new();
-        for o in &obs {
+        for o in observers {
             total.sent += o.sent;
             total.dropped += o.dropped;
             total.delivered += o.delivered;
@@ -872,6 +965,32 @@ mod tests {
             total.bytes_sent += o.bytes_sent;
             total.bytes_delivered += o.bytes_delivered;
         }
+        total
+    }
+
+    /// Runs `world` for `span` with one counter per worker; returns the sum.
+    fn run_counted<M: Medium + Send>(
+        world: &mut ParWorld<PingActor, M>,
+        span: SimDuration,
+    ) -> CountingObserver {
+        let mut obs = vec![CountingObserver::new(); world.workers()];
+        world.run_for(span, &mut obs);
+        total(&obs)
+    }
+
+    /// One run's comparable fingerprint: totals plus per-node actor state.
+    fn fingerprint<M: Medium + Send + Clone>(
+        n: u32,
+        workers: usize,
+        medium: M,
+        with_churn: bool,
+    ) -> (CountingObserver, u64, Vec<(u64, u64, u64)>) {
+        let mut world = ping_world(n, workers, medium, 42);
+        if with_churn {
+            world.schedule_crash(NodeId(1), SimInstant::from_secs_f64(0.45));
+            world.schedule_recovery(NodeId(1), SimInstant::from_secs_f64(0.75));
+        }
+        let total = run_counted(&mut world, SimDuration::from_secs(2));
         let actors = (0..n)
             .map(|i| {
                 let node = NodeId(i);
@@ -882,6 +1001,142 @@ mod tests {
             })
             .collect();
         (total, world.events_processed(), actors)
+    }
+
+    #[test]
+    fn actors_exchange_messages_over_virtual_time() {
+        for workers in [1, 2] {
+            let mut world = ping_world(3, workers, PerfectMedium, 42);
+            let obs = run_counted(&mut world, SimDuration::from_secs(1));
+            // Each of 3 actors pings 10 times in 1s => 30 pings + 30 pongs sent.
+            assert_eq!(obs.sent, 60, "workers={workers}");
+            assert_eq!(obs.delivered, 60);
+            assert_eq!(obs.dropped, 0);
+            assert_eq!(obs.events, 30);
+            let a = world.actor(NodeId(0)).unwrap();
+            assert_eq!(a.pings_sent, 10);
+            assert_eq!(a.pongs_received, 10);
+            assert_eq!(world.now(), SimInstant::from_secs_f64(1.0));
+        }
+    }
+
+    #[test]
+    fn crash_discards_state_and_recovery_restarts_fresh() {
+        for workers in [1, 2] {
+            let mut world = ping_world(2, workers, PerfectMedium, 42);
+            world.schedule_crash(NodeId(1), SimInstant::from_secs_f64(0.45));
+            world.schedule_recovery(NodeId(1), SimInstant::from_secs_f64(0.75));
+            let obs = run_counted(&mut world, SimDuration::from_secs(1));
+
+            assert_eq!(obs.crashes, 1, "workers={workers}");
+            assert_eq!(obs.recoveries, 1);
+            assert!(world.is_up(NodeId(1)));
+            assert_eq!(world.incarnation(NodeId(1)), 1);
+            let n1 = world.actor(NodeId(1)).unwrap();
+            // Fresh actor after recovery at 0.75s: pings at 0.85 and 0.95 only.
+            assert_eq!(n1.pings_sent, 2);
+            assert_eq!(n1.incarnation, 1);
+            // Node 0 keeps running the whole second.
+            assert_eq!(world.actor(NodeId(0)).unwrap().pings_sent, 10);
+            // Messages sent to node 1 while it was down were dropped.
+            assert!(obs.dropped > 0);
+        }
+    }
+
+    #[test]
+    fn crash_of_crashed_node_and_recovery_of_up_node_are_noops() {
+        for workers in [1, 2] {
+            let mut world = ping_world(2, workers, PerfectMedium, 42);
+            world.schedule_crash(NodeId(0), SimInstant::from_secs_f64(0.2));
+            world.schedule_crash(NodeId(0), SimInstant::from_secs_f64(0.3));
+            world.schedule_recovery(NodeId(1), SimInstant::from_secs_f64(0.2));
+            let obs = run_counted(&mut world, SimDuration::from_millis(500));
+            assert_eq!(obs.crashes, 1, "workers={workers}");
+            assert_eq!(obs.recoveries, 0);
+            assert!(!world.is_up(NodeId(0)));
+            assert!(world.actor(NodeId(0)).is_none());
+            assert_eq!(world.incarnation(NodeId(1)), 0);
+        }
+    }
+
+    #[test]
+    fn timers_do_not_survive_crash() {
+        // Two nodes so the run really shards at W=2; both crash just before
+        // their first tick at 100ms, so no timer may fire.
+        let delay = FixedDelayMedium::new(SimDuration::from_millis(5));
+        for workers in [1, 2] {
+            let mut world = ping_world(2, workers, delay, 42);
+            world.schedule_crash(NodeId(0), SimInstant::from_secs_f64(0.05));
+            world.schedule_crash(NodeId(1), SimInstant::from_secs_f64(0.05));
+            world.schedule_recovery(NodeId(1), SimInstant::from_secs_f64(0.06));
+            let obs = run_counted(&mut world, SimDuration::from_millis(150));
+            // Node 1's fresh life arms its first tick at 160ms: nothing
+            // from either node's previous life fires.
+            assert_eq!(obs.timers, 0, "workers={workers}");
+            assert_eq!(obs.sent, 0);
+        }
+    }
+
+    #[test]
+    fn fixed_delay_medium_delays_delivery() {
+        let delay = FixedDelayMedium::new(SimDuration::from_millis(40));
+        for workers in [1, 2] {
+            let mut world = ping_world(2, workers, delay, 7);
+            let mut obs = vec![CountingObserver::new(); world.workers()];
+            // Ping sent at 100ms arrives at 140ms, pong back at 180ms.
+            world.run_until(SimInstant::from_secs_f64(0.139), &mut obs);
+            assert_eq!(total(&obs).delivered, 0, "workers={workers}");
+            world.run_until(SimInstant::from_secs_f64(0.141), &mut obs);
+            // Both directions' pings delivered at 140ms.
+            assert_eq!(total(&obs).delivered, 2, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn with_actor_runs_through_effect_pipeline() {
+        for workers in [1, 2] {
+            let mut world = ping_world(2, workers, PerfectMedium, 42);
+            let mut obs = vec![CountingObserver::new(); world.workers()];
+            world.run_for(SimDuration::from_millis(10), &mut obs);
+            world.with_actor(NodeId(0), &mut obs[0], |_actor, ctx| {
+                ctx.send(NodeId(1), TestMsg::Ping(99));
+            });
+            assert_eq!(total(&obs).sent, 1, "workers={workers}");
+            world.run_for(SimDuration::from_millis(1), &mut obs);
+            // The ping is delivered and node 1 immediately replies with a
+            // pong, which is also delivered (zero-delay medium).
+            assert_eq!(total(&obs).sent, 2);
+            assert_eq!(total(&obs).delivered, 2);
+        }
+    }
+
+    #[test]
+    fn with_actor_routes_cross_shard_sends() {
+        let mut world = ping_world(4, 2, FixedDelayMedium::new(SimDuration::from_millis(1)), 7);
+        let mut obs = vec![CountingObserver::new(); world.workers()];
+        world.run_for(SimDuration::from_millis(10), &mut obs);
+        // Node 0 (shard 0) pings node 1 (shard 1): a cross-shard send.
+        let mut extra = CountingObserver::new();
+        world.with_actor(NodeId(0), &mut extra, |_a, ctx| {
+            ctx.send(NodeId(1), TestMsg::Ping(99));
+        });
+        assert_eq!(extra.sent, 1);
+        world.run_for(SimDuration::from_millis(5), &mut obs);
+        assert!(total(&obs).delivered >= 1);
+        let (_intra, cross) = world.routing_stats();
+        assert!(cross >= 1, "ring traffic must cross the 2-shard cut");
+    }
+
+    #[test]
+    fn determinism_same_seed_same_counts() {
+        let run = |seed: u64| {
+            let mut world = ping_world(4, 1, PerfectMedium, seed);
+            world.schedule_crash(NodeId(2), SimInstant::from_secs_f64(1.5));
+            world.schedule_recovery(NodeId(2), SimInstant::from_secs_f64(2.5));
+            let obs = run_counted(&mut world, SimDuration::from_secs(5));
+            (obs, world.events_processed())
+        };
+        assert_eq!(run(11), run(11));
     }
 
     #[test]
@@ -907,36 +1162,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_totals_match_the_sequential_world() {
-        // The RNG-free, fixed-delay workload has one causal outcome; the
-        // canonical order must agree with the legacy global-seq order on
-        // every aggregate even though tie-breaking differs.
-        let n = 4u32;
-        let mut seq_world: World<PingActor, FixedDelayMedium> = World::new(
-            n as usize,
-            Box::new(move |id, _| PingActor {
-                id,
-                n,
-                pings_sent: 0,
-                pongs_received: 0,
-            }),
-            FixedDelayMedium::new(SimDuration::from_millis(5)),
-            42,
-        );
-        let mut seq_obs = CountingObserver::new();
-        seq_world.run_for(SimDuration::from_secs(2), &mut seq_obs);
-
-        let (par_obs, par_events, _) = fingerprint(
-            n,
-            4,
-            FixedDelayMedium::new(SimDuration::from_millis(5)),
-            false,
-        );
-        assert_eq!(par_obs, seq_obs);
-        assert_eq!(par_events, seq_world.events_processed());
-    }
-
-    #[test]
     fn crash_and_recovery_cross_worker_parity() {
         let delay = FixedDelayMedium::new(SimDuration::from_millis(3));
         let a = fingerprint(8, 2, delay, true);
@@ -948,49 +1173,119 @@ mod tests {
     }
 
     #[test]
-    fn with_actor_routes_cross_shard_sends() {
-        let mut world = ParWorld::new(
-            4,
-            2,
-            ping_factory(4),
-            FixedDelayMedium::new(SimDuration::from_millis(1)),
-            7,
-        );
-        let mut obs = vec![CountingObserver::new(); world.workers()];
-        world.run_for(SimDuration::from_millis(10), &mut obs);
-        // Node 0 (shard 0) pings node 1 (shard 1): a cross-shard send.
-        let mut extra = CountingObserver::new();
-        world.with_actor(NodeId(0), &mut extra, |_a, ctx| {
-            ctx.send(NodeId(1), TestMsg::Ping(99));
-        });
-        assert_eq!(extra.sent, 1);
-        world.run_for(SimDuration::from_millis(5), &mut obs);
-        let delivered: u64 = obs.iter().map(|o| o.delivered).sum();
-        assert!(delivered >= 1);
-        let (_intra, cross) = world.routing_stats();
-        assert!(cross >= 1, "ring traffic must cross the 2-shard cut");
-    }
-
-    #[test]
     fn workers_clamp_to_node_count_and_observe_lookahead() {
-        let world: ParWorld<PingActor, FixedDelayMedium> = ParWorld::new(
-            2,
-            16,
-            ping_factory(2),
-            FixedDelayMedium::new(SimDuration::from_millis(2)),
-            1,
-        );
+        let world = ping_world(2, 16, FixedDelayMedium::new(SimDuration::from_millis(2)), 1);
         assert_eq!(world.workers(), 2);
         assert_eq!(world.lookahead(), SimDuration::from_millis(2));
     }
 
     #[test]
     fn run_until_advances_clock_even_without_events() {
-        let mut world: ParWorld<PingActor, PerfectMedium> =
-            ParWorld::new(0, 4, ping_factory(1), PerfectMedium, 1);
+        let mut world = ping_world(0, 4, PerfectMedium, 1);
         let mut obs = vec![CountingObserver::new(); world.workers()];
         world.run_until(SimInstant::from_secs_f64(3.0), &mut obs);
         assert_eq!(world.now(), SimInstant::from_secs_f64(3.0));
         assert_eq!(world.num_nodes(), 0);
+    }
+
+    #[test]
+    fn run_until_lands_on_the_target_between_events() {
+        // Ticks fall on multiples of 100 ms; 350 ms has no event of its own.
+        for workers in [1, 2] {
+            let mut world = ping_world(3, workers, PerfectMedium, 1);
+            let mut obs = vec![CountingObserver::new(); world.workers()];
+            world.run_until(SimInstant::from_secs_f64(0.35), &mut obs);
+            assert_eq!(world.now(), SimInstant::from_secs_f64(0.35));
+            assert_eq!(total(&obs).timers, 9, "workers={workers}");
+        }
+    }
+
+    /// A medium that duplicates every message with a 1 ms gap between the
+    /// two copies.
+    #[derive(Clone)]
+    struct DuplicatingMedium;
+
+    impl Medium for DuplicatingMedium {
+        fn transmit(
+            &mut self,
+            _now: SimInstant,
+            _from: NodeId,
+            _to: NodeId,
+            _wire_bytes: usize,
+            _rng: &mut SimRng,
+        ) -> Verdict {
+            Verdict::immediate()
+        }
+
+        fn transmit_fate(
+            &mut self,
+            _now: SimInstant,
+            _from: NodeId,
+            _to: NodeId,
+            _wire_bytes: usize,
+            _rng: &mut SimRng,
+        ) -> Fate {
+            Fate::DeliverTwice {
+                first: SimDuration::ZERO,
+                second: SimDuration::from_millis(1),
+            }
+        }
+    }
+
+    #[test]
+    fn duplicating_medium_delivers_every_message_twice() {
+        let mut world = ping_world(1, 1, DuplicatingMedium, 5);
+        let mut obs = [CountingObserver::new()];
+        // One node pinging itself: each ping is duplicated, and each of the
+        // two delivered pings triggers a pong, which is duplicated again.
+        world.run_until(SimInstant::from_secs_f64(0.105), &mut obs);
+        // 1 ping sent, delivered twice; 2 pongs sent, delivered 4 times.
+        assert_eq!(obs[0].sent, 3);
+        assert_eq!(obs[0].delivered, 6);
+        assert_eq!(world.actor(NodeId(0)).unwrap().pongs_received, 4);
+    }
+
+    #[test]
+    fn send_to_unknown_node_is_dropped() {
+        for workers in [1, 2] {
+            let mut world = ping_world(2, workers, PerfectMedium, 42);
+            let mut obs = CountingObserver::new();
+            world.with_actor(NodeId(1), &mut obs, |_a, ctx| {
+                ctx.send(NodeId(57), TestMsg::Ping(1));
+            });
+            assert_eq!(obs.sent, 1, "workers={workers}");
+            assert_eq!(obs.dropped, 1);
+        }
+    }
+
+    /// Two nodes over a 1 ms medium at two workers, where `faulty` panics at
+    /// its 100 ms tick: the run must fail, not hang on an epoch barrier.
+    fn run_with_panicking_node(faulty: NodeId) {
+        let factory: SharedActorFactory<PingActor> = Box::new(move |id, incarnation| PingActor {
+            id,
+            n: 2,
+            pings_sent: 0,
+            pongs_received: 0,
+            incarnation,
+            panic_at: (id == faulty).then(|| SimInstant::from_secs_f64(0.05)),
+        });
+        let medium = FixedDelayMedium::new(SimDuration::from_millis(1));
+        let mut world = ParWorld::new(2, 2, factory, medium, 3);
+        let mut obs = vec![CountingObserver::new(); world.workers()];
+        world.run_for(SimDuration::from_secs(1), &mut obs);
+    }
+
+    #[test]
+    #[should_panic(expected = "n1 fails at")]
+    fn a_panic_on_a_spawned_worker_fails_the_run() {
+        // Node 1 lives on shard 1, which runs on a spawned thread.
+        run_with_panicking_node(NodeId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "n0 fails at")]
+    fn a_panic_on_the_coordinator_shard_fails_the_run() {
+        // Node 0 lives on shard 0, which the calling thread drives.
+        run_with_panicking_node(NodeId(0));
     }
 }

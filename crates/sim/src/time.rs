@@ -3,7 +3,7 @@
 //!
 //! Protocol code never reads a wall clock; it is always handed a
 //! [`SimInstant`] by whichever runtime drives it (the discrete-event
-//! [`World`](crate::world::World) or the real-time runtime in `sle-core`).
+//! [`ParWorld`](crate::par::ParWorld) or the real-time runtime in `sle-core`).
 //! Durations and instants are kept as separate newtypes so that adding two
 //! instants, a classic source of timing bugs, does not type-check.
 

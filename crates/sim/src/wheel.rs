@@ -1,4 +1,4 @@
-//! A hierarchical timer wheel: the event queue of the [`World`].
+//! A hierarchical timer wheel: the event queue of each [`ParWorld`] shard.
 //!
 //! The simulator used to keep every pending event in one sorted timeline (a
 //! binary heap), paying `O(log n)` per schedule and per pop. At the scale
@@ -22,7 +22,7 @@
 //! no overflow list: even a timer armed for [`SimInstant::FAR_FUTURE`]
 //! lands in a (top-level) slot.
 //!
-//! [`World`]: crate::world::World
+//! [`ParWorld`]: crate::par::ParWorld
 //! [`SimInstant::FAR_FUTURE`]: crate::time::SimInstant::FAR_FUTURE
 
 use std::cmp::Ordering;
@@ -246,7 +246,7 @@ impl<T> std::fmt::Debug for EventWheel<T> {
 ///
 /// Scheduling a key that is already armed re-arms it (the previous deadline
 /// is superseded), and [`TimerWheel::cancel`] disarms it — both in `O(1)`,
-/// using the same lazy generation check the simulator's `World` uses: stale
+/// using the same lazy generation check the simulator's `ParWorld` uses: stale
 /// wheel entries are discarded when they surface. The clock is whatever the
 /// caller's [`SimInstant`]s mean — virtual time under the simulator, or
 /// nanoseconds since some wall-clock epoch under a real-time runtime.
@@ -409,7 +409,7 @@ mod tests {
         wheel.push(SimInstant::from_secs_f64(5.0), 1, "first");
         assert_eq!(wheel.pop().map(|(_, _, i)| i), Some("first"));
         // The cursor now sits at t=5 s; a push for an earlier instant (the
-        // World never does this, but the wheel must not lose it) is
+        // simulator never does this, but the wheel must not lose it) is
         // delivered immediately rather than silently dropped.
         wheel.push(SimInstant::from_secs_f64(1.0), 2, "stale");
         wheel.push(SimInstant::from_secs_f64(9.0), 3, "later");

@@ -249,7 +249,7 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
     use sle_core::{GroupId, JoinConfig, ServiceConfig, ServiceNode};
     use sle_election::ElectorKind;
     use sle_sim::observer::CountingObserver;
-    use sle_sim::prelude::{PerfectMedium, World};
+    use sle_sim::prelude::{ParWorld, PerfectMedium};
 
     const NODES: usize = 6;
     const GROUP: GroupId = GroupId(1);
@@ -259,8 +259,9 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
     let mut seeds = SimRng::seed_from(0x5111_E4CE);
     for _case in 0..5 {
         let seed = seeds.next_u64();
-        let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        let mut world: ParWorld<ServiceNode, PerfectMedium> = ParWorld::new(
             NODES,
+            1,
             Box::new(move |node, _inc| {
                 ServiceNode::new(
                     ServiceConfig::full_mesh(node, NODES, ElectorKind::OmegaL)
@@ -270,7 +271,7 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
             PerfectMedium,
             seed,
         );
-        let mut observer = CountingObserver::new();
+        let mut observer = [CountingObserver::new()];
         world.run_for(settle, &mut observer);
 
         // Exactly one node still competes, and it hosts the agreed leader.
@@ -288,13 +289,13 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
             );
         }
 
-        let alives_at = |world: &World<ServiceNode, PerfectMedium>| -> Vec<u64> {
+        let alives_at = |world: &ParWorld<ServiceNode, PerfectMedium>| -> Vec<u64> {
             (0..NODES as u32)
                 .map(|i| world.actor(NodeId(i)).unwrap().alive_payloads_sent())
                 .collect()
         };
         let before = alives_at(&world);
-        let sent_before = observer.sent;
+        let sent_before = observer[0].sent;
         world.run_for(window, &mut observer);
         let after = alives_at(&world);
 
@@ -316,7 +317,7 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
         // Message-count accounting over the sim stats: everything sent in
         // the window is the leader's ALIVEs or HELLO gossip (every node
         // gossips to its n-1 peers once per 1 s hello interval).
-        let sent_window = observer.sent - sent_before;
+        let sent_window = observer[0].sent - sent_before;
         let hello_window = sent_window - leader_alives;
         let hellos_per_round = (NODES * (NODES - 1)) as u64;
         let rounds = window.as_secs_f64() as u64;
