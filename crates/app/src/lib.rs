@@ -16,8 +16,8 @@
 //!   rejections and leader crashes. It is generic over the
 //!   [`MessageEndpoint`](sle_net::transport::MessageEndpoint) seam, so the
 //!   same client code runs over the
-//!   in-memory mesh, the legacy one-socket-per-node UDP transport and the
-//!   shared-socket UDP plane.
+//!   in-memory mesh and the UDP plane (one socket per node, or a few
+//!   shared sockets).
 //!
 //! The `bench_app` binary in `sle-bench` drives a [`ClientHub`] with ~one
 //! million requests through repeated forced leader crashes and asserts the

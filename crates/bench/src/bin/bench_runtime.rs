@@ -10,7 +10,7 @@
 //! Where `bench_scale` proves the protocol scales in *virtual* time, this
 //! binary proves the deployment scales in *real* time: the sharded runtime
 //! of `sle-core` must run a 1000-node in-memory-mesh cluster, a 64-node
-//! legacy one-socket-per-node UDP cell, and a **1000-node shared-socket UDP
+//! one-socket-per-node UDP cell, and a **1000-node shared-socket UDP
 //! plane cell** (all nodes demultiplexed behind `workers` sockets) on a
 //! fixed worker pool, elect a leader in every group, and do it with
 //!
@@ -45,7 +45,7 @@ use sle_net::transport::{InMemoryMesh, MessageEndpoint};
 use sle_obs::{Registry, Snapshot};
 use sle_sim::time::SimDuration;
 use sle_sim::NodeId;
-use sle_udp::{bind_loopback_mesh, SharedUdpPlane};
+use sle_udp::SharedUdpPlane;
 
 /// The hard ceiling on runtime threads (shard workers plus bookkeeping),
 /// excluding the transport's own reader threads.
@@ -328,6 +328,49 @@ where
     (cell, snapshot)
 }
 
+/// Runs one UDP cell: `nodes` nodes on a loopback [`SharedUdpPlane`] of
+/// `sockets` sockets, with the plane's received-datagram counter feeding
+/// the cell's `datagrams_per_sec`. The plane is bound inside `run_cell`'s
+/// endpoint factory so its reader threads land in the thread accounting;
+/// its handle is returned for the caller's own gates and exports.
+#[allow(clippy::too_many_arguments)]
+fn run_plane_cell(
+    name: String,
+    transport: &'static str,
+    groups: Vec<Vec<NodeId>>,
+    nodes: usize,
+    workers: usize,
+    sockets: usize,
+    idle_window: Duration,
+    failures: &mut Vec<String>,
+) -> (Cell, SharedUdpPlane<ServiceMessage>) {
+    let slot: std::cell::OnceCell<SharedUdpPlane<ServiceMessage>> = std::cell::OnceCell::new();
+    let datagram_counter = || {
+        slot.get()
+            .map_or(0, |plane| plane.stats().datagrams_received)
+    };
+    let (cell, _) = run_cell(
+        name,
+        transport,
+        || {
+            slot.get_or_init(|| {
+                SharedUdpPlane::bind_loopback(nodes, sockets).expect("bind loopback UDP plane")
+            })
+            .endpoints()
+        },
+        nodes,
+        groups,
+        workers,
+        sockets.min(nodes),
+        idle_window,
+        false,
+        Some(&datagram_counter),
+        failures,
+    );
+    let plane = slot.into_inner().expect("run_cell built the plane");
+    (cell, plane)
+}
+
 /// The telemetry on/off comparison of the mesh cell.
 struct Overhead {
     cell: String,
@@ -418,7 +461,8 @@ fn main() {
         (1000, 125, 8, 8)
     };
     // Cell 2: real UDP sockets on loopback — the paper's deployment shape,
-    // one datagram socket (and reader thread) per workstation.
+    // one datagram socket (and reader thread) per workstation: a UDP plane
+    // with as many sockets as nodes.
     let (udp_nodes, udp_groups, udp_members, udp_workers) = if args.smoke {
         (16, 4, 4, 4)
     } else {
@@ -509,17 +553,14 @@ fn main() {
     cells.push(on_cell);
 
     {
-        let (cell, _) = run_cell(
+        let (cell, _) = run_plane_cell(
             format!("udp-{udp_nodes}x{udp_groups}x{udp_members}"),
             "udp",
-            || bind_loopback_mesh::<ServiceMessage>(udp_nodes).expect("bind loopback sockets"),
-            udp_nodes,
             strided_groups(udp_nodes, udp_groups, udp_members),
+            udp_nodes,
             udp_workers,
-            udp_nodes, // one reader thread per socket
+            udp_nodes, // one socket, and so one reader thread, per node
             idle_window,
-            false,
-            None,
             &mut failures,
         );
         print_cell(&cell);
@@ -536,36 +577,14 @@ fn main() {
         } else {
             (1000, 125, 8, 8, 8)
         };
-        // The plane is created inside `make_endpoints` so its reader
-        // threads land inside `run_cell`'s thread accounting; the handle is
-        // smuggled out for the datagram counter and the metrics snapshot.
-        let plane_slot: std::cell::RefCell<Option<SharedUdpPlane<ServiceMessage>>> =
-            std::cell::RefCell::new(None);
-        let datagram_counter = || {
-            plane_slot
-                .borrow()
-                .as_ref()
-                .map(|plane| plane.stats().datagrams_received)
-                .unwrap_or(0)
-        };
-        let (cell, _) = run_cell(
+        let (cell, plane) = run_plane_cell(
             format!("udp-shared-{plane_nodes}x{plane_groups}x{plane_members}"),
             "udp-shared",
-            || {
-                let plane =
-                    SharedUdpPlane::<ServiceMessage>::bind_loopback(plane_nodes, plane_sockets)
-                        .expect("bind shared UDP plane");
-                let endpoints = plane.endpoints();
-                *plane_slot.borrow_mut() = Some(plane);
-                endpoints
-            },
-            plane_nodes,
             strided_groups(plane_nodes, plane_groups, plane_members),
+            plane_nodes,
             plane_workers,
             plane_sockets, // one reader thread per *socket*, not per node
             idle_window,
-            false,
-            Some(&datagram_counter),
             &mut failures,
         );
         // The plane cell's whole deployment — runtime and transport — must
@@ -586,9 +605,7 @@ fn main() {
         cells.push(cell);
         if let Some(path) = &args.snapshot_plane_prom {
             let registry = Registry::default();
-            if let Some(plane) = plane_slot.borrow().as_ref() {
-                plane.bind(&registry, "udp.plane");
-            }
+            plane.bind(&registry, "udp.plane");
             let snapshot = registry.snapshot();
             if let Err(e) = std::fs::write(path, sle_obs::render_prometheus(&snapshot)) {
                 eprintln!("error: cannot write {path}: {e}");

@@ -19,14 +19,14 @@
 //!   **one** condvar-parked wait: the worker sleeps exactly until its
 //!   wheel's next deadline or a wakeup, never on a fixed polling interval.
 //!
-//! Transports that support push-mode delivery
+//! Every transport delivers in push mode
 //! ([`MessageEndpoint::set_delivery_sink`] — the in-memory mesh and
-//! `sle-udp` both do) deliver straight into the owning shard's mailbox and
-//! wake its worker; pull-only endpoints are polled on a short cadence as a
-//! compatibility fallback. Thread count is therefore O(workers) plus
-//! whatever reader threads the transport itself needs — not O(nodes) —
-//! which is what lets a 1000-node cluster run in real time on one machine
-//! (`bench_runtime` in `sle-bench` measures exactly that).
+//! `sle-udp` both do): arriving messages go straight into the owning
+//! shard's mailbox and wake its worker, and [`Cluster`] refuses to start
+//! over an endpoint that cannot push. Thread count is therefore
+//! O(workers) plus whatever reader threads the transport itself needs —
+//! not O(nodes) — which is what lets a 1000-node cluster run in real time
+//! on one machine (`bench_runtime` in `sle-bench` measures exactly that).
 //!
 //! The protocol code is the same sans-io [`ServiceNode`] state machine the
 //! simulator runs; this module merely drives it with the wall clock.
@@ -58,11 +58,6 @@ use crate::messages::ServiceMessage;
 use crate::node::{ServiceContext, ServiceNode};
 use crate::obs::NodeInstruments;
 use crate::process::{GroupId, ProcessId};
-
-/// How often a shard polls endpoints that do not support push-mode delivery
-/// (the compatibility fallback for custom [`MessageEndpoint`]s; the bundled
-/// transports all push).
-const PULL_POLL: Duration = Duration::from_millis(10);
 
 /// A leader-change notification produced by some node of a [`Cluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -381,9 +376,6 @@ struct Resident<E> {
     id: NodeId,
     service: ServiceNode,
     endpoint: E,
-    /// Whether the endpoint delivers straight into the shard mailbox; if
-    /// not, the worker polls `try_recv` on the `PULL_POLL` cadence.
-    push_mode: bool,
     /// The crash flag as of the worker's last scan, to detect transitions.
     crashed_seen: bool,
     /// Timers that came due while the node was crashed. The legacy runtime
@@ -409,7 +401,6 @@ struct ShardRuntime<E> {
     crashed: Arc<CrashFlags>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<ShardStats>,
-    any_pull: bool,
 }
 
 impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
@@ -435,7 +426,7 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
                 // dropping a message. Transports are responsible for making
                 // the one *deterministic* failure observable (an
                 // unencodable-on-this-wire message — counted by sle-udp's
-                // UdpStats::send_unencodable).
+                // PlaneStats::send_unencodable).
                 Effect::Send { to, msg } => {
                     let _ = self.residents[idx].endpoint.send(to, msg);
                 }
@@ -592,18 +583,6 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
             did_work = true;
             self.dispatch_message(node, incoming);
         }
-        if self.any_pull {
-            for idx in 0..self.residents.len() {
-                if self.residents[idx].push_mode {
-                    continue;
-                }
-                let node = self.residents[idx].id;
-                while let Some(incoming) = self.residents[idx].endpoint.try_recv() {
-                    did_work = true;
-                    self.dispatch_message(node, incoming);
-                }
-            }
-        }
         loop {
             let now = self.now();
             let Some((_, (node, tag))) = self.wheel.pop_due(now) else {
@@ -646,14 +625,10 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
             }
             // Sleep exactly until the wheel's next deadline (or forever, if
             // no timer is armed) — a push or a wake ends the wait early.
-            let mut deadline = self
+            let deadline = self
                 .wheel
                 .next_deadline()
                 .map(|at| self.start + Duration::from_nanos(at.as_nanos()));
-            if self.any_pull {
-                let poll = Instant::now() + PULL_POLL;
-                deadline = Some(deadline.map_or(poll, |d| d.min(poll)));
-            }
             let woken = self.inbox.mail.wait_until(deadline, &mut mail);
             self.stats.wakeups.inc();
             let did_work = self.process_all(&mut mail);
@@ -727,7 +702,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the endpoint identities are not `0, 1, …, n-1` in order.
+    /// Panics if the endpoint identities are not `0, 1, …, n-1` in order,
+    /// or an endpoint cannot push deliveries
+    /// ([`MessageEndpoint::set_delivery_sink`] returns `false`).
     pub fn start_with_endpoints<E>(endpoints: Vec<E>, algorithm: ElectorKind) -> Self
     where
         E: MessageEndpoint<ServiceMessage> + Send + 'static,
@@ -740,7 +717,8 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the endpoint identities are not `0, 1, …, n-1` in order.
+    /// Panics if the endpoint identities are not `0, 1, …, n-1` in order,
+    /// or an endpoint cannot push deliveries.
     pub fn start_endpoints_with_config<E>(endpoints: Vec<E>, config: ClusterConfig) -> Self
     where
         E: MessageEndpoint<ServiceMessage> + Send + 'static,
@@ -763,7 +741,9 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the endpoint identities are not `0, 1, …, n-1` in order,
-    /// or `configs` does not match them one-to-one.
+    /// `configs` does not match them one-to-one, or an endpoint cannot push
+    /// deliveries ([`MessageEndpoint::set_delivery_sink`] returns `false`):
+    /// the workers park on their shard mailbox and never poll endpoints.
     pub fn start_with_service_configs<E>(
         endpoints: Vec<E>,
         configs: Vec<ServiceConfig>,
@@ -825,7 +805,12 @@ impl Cluster {
             let id = NodeId(i as u32);
             let shard = i % workers;
             shard_of.push(shard);
-            let push_mode = endpoint.set_delivery_sink(inboxes[shard].mail.sender());
+            assert!(
+                endpoint.set_delivery_sink(inboxes[shard].mail.sender()),
+                "the endpoint of {id} cannot push deliveries into a shard mailbox \
+                 (MessageEndpoint::set_delivery_sink returned false); the runtime \
+                 only drives push-mode transports"
+            );
             let mut service = ServiceNode::new(config);
             if let Some(obs) = &obs {
                 service.set_instruments(NodeInstruments::new(
@@ -838,7 +823,6 @@ impl Cluster {
                 id,
                 service,
                 endpoint,
-                push_mode,
                 crashed_seen: false,
                 frozen: Vec::new(),
             });
@@ -864,7 +848,6 @@ impl Cluster {
                 for (idx, resident) in residents.iter().enumerate() {
                     index[resident.id.index()] = idx as u32;
                 }
-                let any_pull = residents.iter().any(|resident| !resident.push_mode);
                 let runtime = ShardRuntime {
                     start,
                     residents,
@@ -875,7 +858,6 @@ impl Cluster {
                     crashed: Arc::clone(&crashed),
                     shutdown: Arc::clone(&shutdown),
                     stats: Arc::clone(&stats[k]),
-                    any_pull,
                 };
                 std::thread::Builder::new()
                     .name(format!("sle-shard-{k}"))
@@ -1237,5 +1219,34 @@ mod tests {
         let stats = cluster.runtime_stats();
         assert_eq!(stats.workers, 2);
         cluster.shutdown();
+    }
+
+    /// An endpoint that keeps the trait's pull-only default for
+    /// `set_delivery_sink`.
+    struct PullOnly(NodeId);
+
+    impl MessageEndpoint<ServiceMessage> for PullOnly {
+        fn node(&self) -> NodeId {
+            self.0
+        }
+        fn send(
+            &self,
+            _to: NodeId,
+            _msg: ServiceMessage,
+        ) -> Result<(), sle_net::transport::TransportError> {
+            Ok(())
+        }
+        fn recv_timeout(&self, _timeout: Duration) -> Option<Incoming<ServiceMessage>> {
+            None
+        }
+        fn try_recv(&self) -> Option<Incoming<ServiceMessage>> {
+            None
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot push deliveries")]
+    fn pull_only_endpoints_are_refused_at_start() {
+        let _ = Cluster::start_with_endpoints(vec![PullOnly(NodeId(0))], ElectorKind::OmegaL);
     }
 }

@@ -58,9 +58,9 @@ pub type ShardDelivery<M> = MailboxSender<(NodeId, Incoming<M>)>;
 /// against: an unreliable, unordered, node-addressed datagram service.
 ///
 /// Two implementations exist: the in-process [`Endpoint`] of an
-/// [`InMemoryMesh`] (std channels) and the `UdpEndpoint` of the `sle-udp`
-/// crate (real `std::net::UdpSocket`s, one daemon per workstation exactly as
-/// the paper deploys the service). Both are *best effort*: a send that
+/// [`InMemoryMesh`] (std channels) and the `SharedUdpEndpoint` of the
+/// `sle-udp` crate (real `std::net::UdpSocket`s; one socket per node is the
+/// paper's one daemon per workstation). Both are *best effort*: a send that
 /// reaches the wire may still be lost, duplicated or reordered, which is
 /// precisely the fault model the protocol is designed for, so runtimes must
 /// never treat a successful `send` as a delivery guarantee.
@@ -96,8 +96,9 @@ pub trait MessageEndpoint<M> {
     /// best-effort datagram contract already permits).
     ///
     /// Returns whether the transport supports push mode. The default
-    /// implementation is pull-only and returns `false`; a sharded runtime
-    /// then falls back to polling the endpoint on a short cadence.
+    /// implementation is pull-only and returns `false`; the sharded runtime
+    /// of `sle-core` never polls endpoints, so it refuses to start over one
+    /// that returns `false`.
     fn set_delivery_sink(&self, sink: ShardDelivery<M>) -> bool {
         let _ = sink;
         false
@@ -112,8 +113,7 @@ pub trait MessageEndpoint<M> {
     /// calls it after every productive processing round, so co-sharded
     /// senders to the same destination share datagrams without adding
     /// latency beyond the round itself. Transports that write through on
-    /// every `send` (the in-memory mesh, the legacy one-socket-per-node UDP
-    /// endpoint) keep this default no-op.
+    /// every `send` (the in-memory mesh) keep this default no-op.
     fn flush_sends(&self) {}
 }
 

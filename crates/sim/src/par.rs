@@ -1200,6 +1200,63 @@ mod tests {
         }
     }
 
+    /// Greets every other node from `on_start` and logs what it saw, in
+    /// order: `None` for its own start, `Some(from)` for a greeting.
+    struct Greeter {
+        id: NodeId,
+        n: u32,
+        log: Vec<Option<NodeId>>,
+    }
+
+    impl Actor for Greeter {
+        type Msg = TestMsg;
+        type Event = String;
+
+        fn on_start(&mut self, ctx: &mut Context<TestMsg, String>) {
+            self.log.push(None);
+            for peer in (0..self.n).map(NodeId).filter(|&peer| peer != self.id) {
+                ctx.send(peer, TestMsg::Ping(0));
+            }
+        }
+
+        fn on_message(&mut self, from: NodeId, _: TestMsg, _: &mut Context<TestMsg, String>) {
+            self.log.push(Some(from));
+        }
+
+        fn on_timer(&mut self, _: TimerTag, _: &mut Context<TestMsg, String>) {}
+    }
+
+    #[test]
+    fn zero_delay_start_order_follows_the_canonical_key() {
+        // docs/SIM.md, "What the canonical order means at zero delay": a
+        // message node 0 sends from `on_start` at t = 0 reaches node 1
+        // before node 1's own `on_start`, while node 1's greeting reaches
+        // node 0 after node 0 started. The order is a
+        // pure function of the event keys, so it is the same at W = 1 and
+        // W = 2 (where the two nodes live on different shards).
+        for workers in [1, 2] {
+            let factory: SharedActorFactory<Greeter> = Box::new(|id, _| Greeter {
+                id,
+                n: 2,
+                log: Vec::new(),
+            });
+            let mut world = ParWorld::new(2, workers, factory, PerfectMedium, 3);
+            let mut obs = vec![CountingObserver::new(); world.workers()];
+            world.run_until(SimInstant::ZERO, &mut obs);
+            assert_eq!(total(&obs).delivered, 2, "workers={workers}");
+            assert_eq!(
+                world.actor(NodeId(0)).unwrap().log,
+                vec![None, Some(NodeId(1))],
+                "workers={workers}: node 0 starts, then hears node 1"
+            );
+            assert_eq!(
+                world.actor(NodeId(1)).unwrap().log,
+                vec![Some(NodeId(0)), None],
+                "workers={workers}: node 1 hears node 0 before its own start"
+            );
+        }
+    }
+
     /// A medium that duplicates every message with a 1 ms gap between the
     /// two copies.
     #[derive(Clone)]

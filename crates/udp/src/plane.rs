@@ -1,22 +1,21 @@
-//! # The shared-socket UDP data plane
+//! # The UDP data plane
 //!
-//! The legacy [`UdpEndpoint`](crate::UdpEndpoint) spawns one socket and one
-//! reader thread per node — faithful to the paper's one-daemon-per-
-//! workstation deployment, but O(n) threads when one process hosts a whole
-//! cell. This module collapses the plane to **O(sockets)**: a
-//! [`SharedUdpPlane`] binds a small, fixed number of `UdpSocket`s, assigns
-//! every node to one of them (node `i` → socket `i % sockets`), and runs one
-//! demultiplexing reader thread per socket. Arriving datagrams are decoded
-//! into per-node records and routed to the resident destination's delivery
-//! sink — the same pull channel / [`ShardDelivery`] seam the legacy
-//! endpoint uses, so `sle-core`'s `Cluster` drives a
-//! [`SharedUdpEndpoint`] unchanged.
+//! A [`SharedUdpPlane`] binds a fixed number of `UdpSocket`s, assigns every
+//! node to one of them (node `i` → socket `i % sockets`), and runs one
+//! demultiplexing reader thread per socket, so the plane costs
+//! **O(sockets)** threads. With `sockets = nodes` that is the paper's one
+//! daemon per workstation; with fewer sockets one process hosts a whole
+//! cell on O(workers) threads. Arriving datagrams are decoded into per-node
+//! records and routed to the resident destination's delivery sink — a pull
+//! channel, or a sharded runtime's [`ShardDelivery`] mailbox — so
+//! `sle-core`'s `Cluster` drives a [`SharedUdpEndpoint`] like any other
+//! [`MessageEndpoint`].
 //!
 //! ## Datagram format
 //!
-//! A shared socket serves many destinations, so the sle-wire frame (which
+//! A socket may serve many destinations, so the sle-wire frame (which
 //! names only the *sender*) is wrapped in a plane **record** carrying the
-//! destination:
+//! destination (`docs/WIRE.md`, "Datagram framing"):
 //!
 //! ```text
 //! datagram := record+
@@ -31,8 +30,7 @@
 //! `MAX_ALIVE_BATCH_BYTES` (1200 bytes): the wire keeps the same
 //! conservative no-fragmentation envelope the ALIVE batcher already
 //! guarantees. A single record may exceed the budget (up to
-//! [`MAX_PLANE_DATAGRAM`]); it is then sent alone, exactly like an
-//! unbatched legacy datagram.
+//! [`MAX_PLANE_DATAGRAM`]); it is then sent alone.
 //!
 //! ## Hardening
 //!
@@ -44,9 +42,9 @@
 //! demux continues with the next record. One deliberate trust boundary is
 //! documented here: nodes sharing a source socket are indistinguishable at
 //! the address level, so a resident node *can* claim a co-socketed
-//! sibling's identity. In-process siblings are inside the trust domain (the
-//! legacy plane's per-node sockets draw the same boundary around the
-//! process); cross-socket spoofing is still refused.
+//! sibling's identity. In-process siblings are inside the trust domain (a
+//! process owning one socket per node draws the same boundary around
+//! itself); cross-socket spoofing is still refused.
 //!
 //! Receive buffers come from a fixed [`BufferPool`] — the hot path stops
 //! allocating per datagram after warm-up, and pool occupancy is exact in
@@ -84,8 +82,9 @@ pub const COALESCE_BUDGET: usize = 1200;
 pub const MAX_PLANE_DATAGRAM: usize = RECORD_HEADER + MAX_DATAGRAM;
 
 /// Fallback read timeout installed at shutdown, in case the zero-byte wake
-/// datagram is lost (see [`UdpEndpoint`](crate::UdpEndpoint) for the same
-/// pattern). In steady state the readers block indefinitely.
+/// datagram is lost. In steady state the readers block indefinitely: their
+/// shutdown is edge-triggered (see `PlaneShared`'s `Drop`), so an idle
+/// plane causes no periodic wakeups at all.
 const SHUTDOWN_FALLBACK_POLL: Duration = Duration::from_millis(25);
 
 /// Datagram- and record-level counters of one [`SharedUdpPlane`], all
@@ -116,8 +115,12 @@ pub struct PlaneStats {
     /// currently without an endpoint (departed mid-stream).
     pub dropped_misrouted: Counter,
     /// Outbound messages that could not be encoded into one frame
-    /// (send-side, deterministic; see
-    /// [`UdpStats::send_unencodable`](crate::UdpStats)).
+    /// ([`WireError::TooLarge`](sle_wire::WireError)). Unlike the
+    /// `dropped_*` receive counters this is a *send-side* failure: it
+    /// recurs deterministically for the same message, so a non-zero value
+    /// means a node is trying to say something the wire cannot carry (e.g.
+    /// a HELLO gossiping more groups than fit in [`MAX_DATAGRAM`]) — not
+    /// that the network is lossy.
     pub send_unencodable: Counter,
     /// Times any plane reader woke from `recv_from`, for any reason. Flat
     /// on an idle plane — the regression guard for "no periodic wakeups".
@@ -276,9 +279,11 @@ impl<M> Drop for PlaneShared<M> {
         self.stop.store(true, Ordering::Relaxed);
         let mut woken_all = true;
         for socket in &self.sockets {
-            // Same edge-triggered shutdown as the legacy endpoint: a
-            // fallback timeout for readers not yet parked, a zero-byte
-            // self-send for readers already inside `recv_from`.
+            // Edge-triggered shutdown: a fallback timeout for readers not
+            // yet parked, a zero-byte self-send for readers already inside
+            // `recv_from`. A wildcard-bound socket reports an unspecified
+            // local IP, so the wake goes through the matching loopback
+            // address instead.
             let _ = socket.set_read_timeout(Some(SHUTDOWN_FALLBACK_POLL));
             let woken = socket
                 .local_addr()
@@ -310,10 +315,10 @@ impl<M> Drop for PlaneShared<M> {
     }
 }
 
-/// A shared-socket UDP plane hosting `nodes` endpoints behind
-/// `sockets` sockets, with one demultiplexing reader thread per socket —
-/// the O(workers) replacement for the legacy one-thread-per-node
-/// [`UdpEndpoint`](crate::UdpEndpoint) when one process hosts many nodes.
+/// A UDP plane hosting `nodes` endpoints behind `sockets` sockets, with one
+/// demultiplexing reader thread per socket: `sockets = nodes` is the
+/// paper's one socket per workstation, fewer sockets keep a many-node
+/// process on O(workers) threads.
 ///
 /// The handle is cheap to clone; the readers shut down when the last
 /// handle **and** the last [`SharedUdpEndpoint`] drop.
@@ -356,9 +361,9 @@ impl<M> std::fmt::Debug for SharedUdpPlane<M> {
 impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
     /// Binds `sockets` sockets to ephemeral ports on `127.0.0.1` and
     /// assigns `nodes` node identities to them round-robin (node `i` →
-    /// socket `i % sockets`) — the shared-socket equivalent of
-    /// [`bind_loopback_mesh`](crate::bind_loopback_mesh). One reader
-    /// thread is spawned per socket.
+    /// socket `i % sockets`) — the socket-world equivalent of
+    /// [`InMemoryMesh::new(n)`](sle_net::transport::InMemoryMesh::new).
+    /// One reader thread is spawned per socket.
     ///
     /// # Errors
     ///
@@ -581,17 +586,16 @@ impl<M> PlaneShared<M> {
             if buf.is_empty() {
                 continue;
             }
-            // OS-level send failures are swallowed, like the legacy
-            // endpoint: to the protocol they are network loss.
+            // OS-level send failures are swallowed: to the protocol they
+            // are network loss.
             let _ = socket.send_to(&buf, dest);
             self.stats.datagrams_sent.inc();
         }
     }
 }
 
-/// One node's endpoint on a [`SharedUdpPlane`]: the same
-/// [`MessageEndpoint`] contract as [`UdpEndpoint`](crate::UdpEndpoint),
-/// minus the dedicated socket and reader thread.
+/// One node's endpoint on a [`SharedUdpPlane`], implementing the
+/// [`MessageEndpoint`] contract over the socket its node lives behind.
 ///
 /// In pull mode every `send` writes through immediately. Installing a
 /// delivery sink ([`MessageEndpoint::set_delivery_sink`]) switches the
@@ -989,5 +993,83 @@ mod tests {
         let _endpoints = plane.endpoints();
         std::thread::sleep(Duration::from_millis(300));
         assert_eq!(plane.stats().reader_wakeups, 0);
+    }
+
+    #[test]
+    fn refused_datagrams_are_traced_with_their_reason() {
+        use sle_obs::ManualClock;
+
+        let plane = SharedUdpPlane::<u64>::bind_loopback(1, 1).unwrap();
+        let endpoint = plane.endpoint(NodeId(0));
+        let ring = TraceRing::new(16);
+        plane.set_trace(ring.clone(), Arc::new(ManualClock::new()));
+        let target = plane.node_addr(NodeId(0)).unwrap();
+        let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
+
+        // An intact record for node 0 whose frame the codec rejects.
+        let garbage = b"definitely not a frame";
+        let mut record = Vec::new();
+        record.extend_from_slice(&0u32.to_be_bytes());
+        record.extend_from_slice(&(garbage.len() as u16).to_be_bytes());
+        record.extend_from_slice(garbage);
+        attacker.send_to(&record, target).unwrap();
+        assert!(endpoint.recv_timeout(Duration::from_millis(300)).is_none());
+
+        let drain = ring.drain();
+        assert_eq!(drain.dropped, 0);
+        assert_eq!(drain.events.len(), 1);
+        assert_eq!(drain.events[0].node, NodeId(0));
+        assert!(matches!(
+            drain.events[0].event,
+            ProtoEvent::DatagramDropped {
+                reason: DropReason::Malformed
+            }
+        ));
+        assert_eq!(plane.stats().dropped_malformed, 1);
+    }
+
+    #[test]
+    fn unencodable_sends_error_and_are_counted() {
+        use sle_core::messages::{GroupAnnouncement, ServiceMessage};
+        use sle_core::process::GroupId;
+        use sle_obs::ManualClock;
+        use sle_sim::time::SimInstant;
+
+        let plane = SharedUdpPlane::<ServiceMessage>::bind_loopback(2, 2).unwrap();
+        let endpoints = plane.endpoints();
+        let ring = TraceRing::new(16);
+        plane.set_trace(ring.clone(), Arc::new(ManualClock::new()));
+        // A HELLO gossiping more groups than fit in MAX_DATAGRAM.
+        let huge = ServiceMessage::Hello {
+            incarnation: 0,
+            sent_at: SimInstant::ZERO,
+            announcements: (0..250)
+                .map(|i| GroupAnnouncement {
+                    group: GroupId(i),
+                    processes: Vec::new(),
+                })
+                .collect(),
+        };
+        assert!(matches!(
+            endpoints[0].send(NodeId(1), huge),
+            Err(TransportError::Unencodable(_))
+        ));
+        let stats = plane.stats();
+        assert_eq!(stats.send_unencodable, 1);
+        assert_eq!(stats.records_sent, 0, "nothing reached the wire");
+        assert!(endpoints[1]
+            .recv_timeout(Duration::from_millis(100))
+            .is_none());
+
+        // The refusal is traced against the sender.
+        let drain = ring.drain();
+        assert_eq!(drain.events.len(), 1);
+        assert_eq!(drain.events[0].node, NodeId(0));
+        assert!(matches!(
+            drain.events[0].event,
+            ProtoEvent::DatagramDropped {
+                reason: DropReason::Unencodable
+            }
+        ));
     }
 }

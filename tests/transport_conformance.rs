@@ -1,12 +1,12 @@
 //! Cross-transport and cross-driver conformance: the full
-//! {mesh, udp-legacy, udp-shared} × {legacy, sharded} matrix must execute
+//! {mesh, udp-per-node, udp-shared} × {legacy, sharded} matrix must execute
 //! the identical protocol state machine.
 //!
 //! The same deterministic 5-node scenario — staggered joins so the rank
 //! order is unambiguous, a stable election, a leader crash, a re-election —
-//! runs over `sle-net`'s in-memory mesh, over `sle-udp`'s legacy
-//! one-socket-per-node endpoints, and over the shared-socket demultiplexing
-//! plane (`SharedUdpPlane`, 5 nodes behind 2 sockets), each both in the
+//! runs over `sle-net`'s in-memory mesh and over `sle-udp`'s
+//! `SharedUdpPlane` twice — with one socket per node (the paper's shape)
+//! and with 5 nodes demultiplexed behind 2 sockets — each both in the
 //! legacy shape (`workers = n`) and on a 2-worker shard pool. Every one of
 //! the six cells must produce **identical elected leaders** at every
 //! checkpoint, and its leader-view trace must earn an **equivalent verdict
@@ -30,7 +30,7 @@ use sle_net::link::LinkSpec;
 use sle_net::transport::{InMemoryMesh, MessageEndpoint};
 use sle_sim::time::{SimDuration, SimInstant};
 use sle_sim::NodeId;
-use sle_udp::{bind_loopback_mesh, SharedUdpPlane};
+use sle_udp::SharedUdpPlane;
 
 const NODES: usize = 5;
 const GROUP: GroupId = GroupId(1);
@@ -169,15 +169,18 @@ fn mesh_endpoints() -> Vec<sle_net::transport::Endpoint<ServiceMessage>> {
         .collect()
 }
 
-/// The shared-socket plane cell: 5 nodes demultiplexed behind 2 sockets.
-/// The endpoints keep the plane (and its reader threads) alive; it shuts
-/// down when the cluster drops them. A handle to the plane is returned
-/// alongside so the caller can audit it after the run.
-fn udp_shared_endpoints() -> (
+/// A UDP plane cell: `NODES` nodes behind `sockets` sockets (`NODES` for
+/// the per-node cell, 2 for the shared one). The endpoints keep the plane
+/// (and its reader threads) alive; it shuts down when the cluster drops
+/// them. A handle to the plane is returned alongside so the caller can
+/// audit it after the run.
+fn udp_endpoints(
+    sockets: usize,
+) -> (
     SharedUdpPlane<ServiceMessage>,
     Vec<sle_udp::SharedUdpEndpoint<ServiceMessage>>,
 ) {
-    let plane = SharedUdpPlane::bind_loopback(NODES, 2).expect("bind shared plane");
+    let plane = SharedUdpPlane::bind_loopback(NODES, sockets).expect("bind UDP plane");
     let endpoints = plane.endpoints();
     (plane, endpoints)
 }
@@ -242,20 +245,17 @@ fn assert_matrix_row(runs: &[Outcome]) {
 
 #[test]
 fn legacy_driver_matrix_executes_the_identical_state_machine() {
-    // The legacy one-worker-per-node row: in-process mesh, one-socket-per-
-    // node UDP, and the shared-socket plane (which auto-flushes per send in
-    // pull mode — no runtime is around to signal batch boundaries).
-    let (plane, shared) = udp_shared_endpoints();
+    // The one-worker-per-node row: in-process mesh, one socket per node,
+    // and nodes sharing sockets.
+    let (per_node_plane, per_node) = udp_endpoints(NODES);
+    let (shared_plane, shared) = udp_endpoints(2);
     let runs = [
         run_scenario(mesh_endpoints(), "mesh/legacy".into(), Driver::Legacy),
-        run_scenario(
-            bind_loopback_mesh::<ServiceMessage>(NODES).expect("bind loopback"),
-            "udp-legacy/legacy".into(),
-            Driver::Legacy,
-        ),
+        run_scenario(per_node, "udp-per-node/legacy".into(), Driver::Legacy),
         run_scenario(shared, "udp-shared/legacy".into(), Driver::Legacy),
     ];
-    assert_no_stranded_sends(&plane, "udp-shared/legacy");
+    assert_no_stranded_sends(&per_node_plane, "udp-per-node/legacy");
+    assert_no_stranded_sends(&shared_plane, "udp-shared/legacy");
     assert_matrix_row(&runs);
 }
 
@@ -264,16 +264,14 @@ fn sharded_driver_matrix_executes_the_identical_state_machine() {
     // The 2-worker shard-pool row. On the shared plane this is the full
     // production shape: push-mode delivery into shard mailboxes plus
     // coalesced sends flushed at the runtime's batch boundaries.
-    let (plane, shared) = udp_shared_endpoints();
+    let (per_node_plane, per_node) = udp_endpoints(NODES);
+    let (shared_plane, shared) = udp_endpoints(2);
     let runs = [
         run_scenario(mesh_endpoints(), "mesh/sharded".into(), Driver::Sharded(2)),
-        run_scenario(
-            bind_loopback_mesh::<ServiceMessage>(NODES).expect("bind loopback"),
-            "udp-legacy/sharded".into(),
-            Driver::Sharded(2),
-        ),
+        run_scenario(per_node, "udp-per-node/sharded".into(), Driver::Sharded(2)),
         run_scenario(shared, "udp-shared/sharded".into(), Driver::Sharded(2)),
     ];
-    assert_no_stranded_sends(&plane, "udp-shared/sharded");
+    assert_no_stranded_sends(&per_node_plane, "udp-per-node/sharded");
+    assert_no_stranded_sends(&shared_plane, "udp-shared/sharded");
     assert_matrix_row(&runs);
 }

@@ -1,7 +1,7 @@
 //! End-to-end over real sockets: the full service stack (wire codec + UDP
 //! transport + failure detector + elector + service) running as three
-//! real-time nodes on 127.0.0.1, exactly the daemon-per-workstation
-//! deployment of the paper, but on one machine.
+//! real-time nodes on 127.0.0.1, one socket per node: exactly the
+//! daemon-per-workstation deployment of the paper, but on one machine.
 
 use std::time::{Duration, Instant};
 
@@ -10,16 +10,16 @@ use sle_core::{Cluster, GroupId, JoinConfig};
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_sim::NodeId;
-use sle_udp::bind_loopback_mesh;
+use sle_udp::SharedUdpPlane;
 
 const GROUP: GroupId = GroupId(1);
 
 #[test]
 fn three_udp_nodes_elect_and_survive_a_leader_crash() {
     let n = 3u32;
-    let endpoints = bind_loopback_mesh::<ServiceMessage>(n as usize).expect("bind loopback");
-    let stats = endpoints[0].stats_handle();
-    let cluster = Cluster::start_with_endpoints(endpoints, ElectorKind::OmegaLc);
+    let plane = SharedUdpPlane::<ServiceMessage>::bind_loopback(n as usize, n as usize)
+        .expect("bind loopback");
+    let cluster = Cluster::start_with_endpoints(plane.endpoints(), ElectorKind::OmegaLc);
 
     for i in 0..n {
         cluster
@@ -68,13 +68,14 @@ fn three_udp_nodes_elect_and_survive_a_leader_crash() {
 
     cluster.shutdown();
 
-    // Real datagrams flowed, and the codec rejected none of our own
-    // traffic (every peer speaks the same wire version, and every message
-    // the protocol emits fits one datagram).
-    let snapshot = stats.snapshot();
+    // Real datagrams flowed, and the plane refused none of our own traffic
+    // (every peer speaks the same wire version, every message the protocol
+    // emits fits one record, and each socket hosts exactly one node).
+    let snapshot = plane.stats();
     assert!(snapshot.delivered > 0, "no datagrams were delivered");
     assert_eq!(snapshot.dropped_malformed, 0);
     assert_eq!(snapshot.dropped_oversized, 0);
+    assert_eq!(snapshot.dropped_truncated, 0);
     assert_eq!(snapshot.dropped_misaddressed, 0);
     assert_eq!(snapshot.send_unencodable, 0);
 }
@@ -84,8 +85,8 @@ fn udp_cluster_matches_mesh_cluster_behaviour() {
     // The same protocol over the two transports must produce the same
     // outcome: each cluster reaches agreement on one leader, and that
     // leadership is stable (no spurious demotion while nothing fails).
-    let endpoints = bind_loopback_mesh::<ServiceMessage>(2).expect("bind loopback");
-    let over_udp = Cluster::start_with_endpoints(endpoints, ElectorKind::OmegaL);
+    let plane = SharedUdpPlane::<ServiceMessage>::bind_loopback(2, 2).expect("bind loopback");
+    let over_udp = Cluster::start_with_endpoints(plane.endpoints(), ElectorKind::OmegaL);
     let over_mesh = Cluster::start(2, ElectorKind::OmegaL);
 
     for cluster in [&over_udp, &over_mesh] {
